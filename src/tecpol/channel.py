@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import InfeasiblePoint, NegativeComponent, OutOfRange, SumNotOne
 
 SIMPLEX_TOL = 1e-12
@@ -106,14 +108,25 @@ def from_bec_pair(delta: float, eps: float) -> TecChannel:
     )
 
 
+def require_balanced(x, y) -> None:
+    """Raise InfeasiblePoint unless every (x, y) is a balanced point:
+    0 <= x <= 1 and 0 <= y <= 2 min(x, 1 - x), with SIMPLEX_TOL slack in y.
+    Floats or arrays."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    cap = 2.0 * np.minimum(x, 1.0 - x)
+    ok = (0.0 <= x) & (x <= 1.0) & (y >= -SIMPLEX_TOL) & (y <= cap + SIMPLEX_TOL)
+    if not ok.all():
+        k = np.flatnonzero(~ok)[0]
+        raise InfeasiblePoint(
+            f"({float(x.flat[k])!r}, {float(y.flat[k])!r}) is not a balanced point: "
+            f"need 0 <= x <= 1 and 0 <= y <= 2 min(x, 1 - x)"
+        )
+
+
 def from_balanced(point: BalancedPoint) -> TecChannel:
     """The unique balanced channel with entropy x and edge mass y."""
     x, y = point.x, point.y
-    if not (0.0 <= x <= 1.0):
-        raise InfeasiblePoint(f"entropy {x!r} outside [0, 1]")
-    cap = 2.0 * min(x, 1.0 - x)
-    if y < -SIMPLEX_TOL or y > cap + SIMPLEX_TOL:
-        raise InfeasiblePoint(f"edge mass {y!r} outside [0, {cap}] at entropy {x}")
+    require_balanced(x, y)
     e3 = y / 3.0
     return TecChannel(max(1.0 - x - y / 2.0, 0.0), e3, e3, e3, max(x - y / 2.0, 0.0))
 
@@ -127,10 +140,6 @@ def functionals(w: TecChannel) -> ChannelFunctionals:
     return ChannelFunctionals(h, e, a, q_idx)
 
 
-def entropy(w: TecChannel) -> float:
-    return (w.q + w.r + w.s) / 2.0 + w.t
-
-
 def rotate(w: TecChannel) -> TecChannel:
     """Premultiply the input by the primitive element: cycles (q, r, s)."""
     return TecChannel(w.p, w.s, w.q, w.r, w.t)
@@ -139,25 +148,3 @@ def rotate(w: TecChannel) -> TecChannel:
 def dual(w: TecChannel) -> TecChannel:
     """Reverse the five-tuple; swaps the roles of serial and parallel."""
     return TecChannel(w.t, w.s, w.r, w.q, w.p)
-
-
-def balanced_point(w: TecChannel) -> BalancedPoint:
-    """(H, E) readout; meaningful as a channel description only when A(w)=0."""
-    f = functionals(w)
-    return BalancedPoint(f.entropy, f.edge_mass)
-
-
-def parse_channel(text: str) -> TecChannel:
-    """Parse "p,q,r,s,t" as five decimal literals."""
-    parts = text.split(",")
-    if len(parts) != 5:
-        raise OutOfRange(f"expected five comma-separated components, got {len(parts)}")
-    try:
-        vals = [float(part) for part in parts]
-    except ValueError as exc:
-        raise OutOfRange(f"non-numeric component in {text!r}") from exc
-    return new_tec(*vals)
-
-
-def format_channel(w: TecChannel) -> str:
-    return ",".join(repr(v) for v in w.as_tuple())

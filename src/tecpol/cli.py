@@ -32,14 +32,6 @@ def parse_channel_spec(text: str) -> channel.TecChannel:
     raise ValueError(f"unrecognized channel spec {text!r}")
 
 
-def _kernel_kind(name: str) -> process.KernelKind:
-    return (
-        process.KernelKind.QUATERNARY_TWIST
-        if name == "twist"
-        else process.KernelKind.UNTWISTED_BASELINE
-    )
-
-
 @contextmanager
 def _output(path: Optional[str]):
     if path is None or path == "-":
@@ -79,7 +71,7 @@ def _cmd_children(args) -> int:
 
 def _cmd_scatter(args) -> int:
     records = process.enumerate_descendants(
-        parse_channel_spec(args.channel), args.depth, _kernel_kind(args.kernel)
+        parse_channel_spec(args.channel), args.depth, process.KernelKind(args.kernel)
     )
     with _output(args.out) as fh:
         process.write_scatter_csv(records, fh)
@@ -90,7 +82,7 @@ def _cmd_series(args) -> int:
     stats = process.psi_expectation_series(
         parse_channel_spec(args.channel),
         args.depth,
-        _kernel_kind(args.kernel),
+        process.KernelKind(args.kernel),
         args.psi_exponent,
     )
     with _output(args.out) as fh:
@@ -124,15 +116,13 @@ def _cmd_eigen(args) -> int:
         return 0 if payload["pass"] else 1
     # power iteration
     if args.map == "bec":
-        child_map = eigen.BinaryBEC()
+        child_map = kernel.bec_children
     elif args.map == "alpha":
-        child_map = eigen.TwistOnCurve(lambda x: trap.analytic_curve("alpha_parabola", x))
-    elif args.map == "curve":
+        child_map = eigen.twist_on_curve(lambda x: trap.analytic_curve("alpha_parabola", x))
+    else:
         if not args.curve_file:
             raise ValueError("--curve-file is required with --map curve")
-        child_map = eigen.TwistOnCurve(spline.read_spline(args.curve_file))
-    else:
-        raise ValueError(f"unknown map {args.map!r}")
+        child_map = eigen.twist_on_curve(spline.read_spline(args.curve_file))
     result = eigen.power_iterate(
         child_map, args.psi_exponent, args.nodes, args.tol, args.max_iters
     )

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
-from .errors import DegeneratePoint, NoConvergence, OutOfRange
+from .channel import require_balanced
+from .errors import NoConvergence, OutOfRange
+from .kernel import balanced_children
 from .spline import LinearSpline
 
 #: the worst-case one-step ratio certified for the 9/7 trap curve
@@ -23,35 +25,18 @@ LEMMA_RATIO_BOUND = 0.818
 PSI_FLOOR = 1e-9
 
 
-class ChildEntropyMap:
-    """x -> (H_serial, H_parallel); subclasses fix the two maps."""
+def twist_on_curve(curve: Callable) -> Callable:
+    """x -> (H_serial, H_parallel) for twist-kernel children of balanced
+    channels on the edge-mass curve y = curve(x), a LinearSpline or any
+    callable on arrays.  Raises InfeasiblePoint where y is not feasible."""
 
-    def entropies(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
+    def entropies(x):
+        y = curve(x)
+        require_balanced(x, y)
+        h_p, _e_p, h_s, _e_s = balanced_children(x, y)
+        return h_s, h_p
 
-
-class BinaryBEC(ChildEntropyMap):
-    """The classical BEC recursion: children at 2x - x^2 and x^2."""
-
-    def entropies(self, x):
-        x = np.asarray(x, dtype=float)
-        return 2.0 * x - x * x, x * x
-
-
-class TwistOnCurve(ChildEntropyMap):
-    """Twist-kernel children of balanced channels riding an edge-mass curve.
-
-    ``curve`` maps entropy to edge mass; a LinearSpline or plain callable.
-    """
-
-    def __init__(self, curve: Union[LinearSpline, Callable]):
-        self.curve = curve
-
-    def entropies(self, x):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(self.curve(x), dtype=float)
-        y2 = y * y / 12.0
-        return 2.0 * x - x * x + y2, x * x - y2
+    return entropies
 
 
 def lemma_psi(x):
@@ -66,18 +51,6 @@ def lemma_child_entropies(x):
     x = np.asarray(x, dtype=float)
     h_p = (169.0 * x**2 + 54.0 * x**3 - 27.0 * x**4) / 196.0
     return 2.0 * x - h_p, h_p
-
-
-def one_step_ratio(psi, child_map: ChildEntropyMap, x) -> float:
-    """[psi(H_s(x)) + psi(H_p(x))] / (2 psi(x)) for a single interior x."""
-    if not 0.0 < x < 1.0:
-        raise DegeneratePoint(f"x={x!r} is not interior")
-    denom = float(np.asarray(psi(x)))
-    if denom <= 0.0:
-        raise DegeneratePoint(f"psi({x}) = {denom}; ratio undefined")
-    h_s, h_p = child_map.entropies(np.asarray([x]))
-    num = float(np.asarray(psi(h_s[0]))) + float(np.asarray(psi(h_p[0])))
-    return num / (2.0 * denom)
 
 
 def verify_lemma_eigen(grid_size: int = 100_000) -> tuple[float, float]:
@@ -128,14 +101,16 @@ def _is_concave(vals: np.ndarray) -> bool:
 
 
 def power_iterate(
-    child_map: ChildEntropyMap,
+    child_map: Callable,
     psi0_exponent: float = 0.7,
     nodes: int = 100_000,
     tol: float = 1e-9,
     max_iters: int = 20_000,
     psi_floor: float = PSI_FLOOR,
 ) -> PowerIterationResult:
-    """Power iteration for the optimal eigenfunction of a child-entropy map.
+    """Power iteration for the optimal eigenfunction of a child-entropy map,
+    a function x -> (H_serial, H_parallel) such as ``kernel.bec_children`` or
+    ``twist_on_curve(curve)``.
 
     lambda is read off as the worst node-wise Rayleigh ratio of the converged
     iterate (over nodes where psi exceeds ``psi_floor``), which is robust to
@@ -146,7 +121,7 @@ def power_iterate(
     if nodes < 1000:
         raise ValueError("need at least 1000 nodes")
     grid = np.linspace(0.0, 1.0, nodes)
-    hs, hp = child_map.entropies(grid)
+    hs, hp = child_map(grid)
     hs = np.clip(hs, 0.0, 1.0)
     hp = np.clip(hp, 0.0, 1.0)
     psi = (grid * (1.0 - grid)) ** psi0_exponent

@@ -32,19 +32,11 @@ class NotMonotone(TecError):
         super().__init__(message or f"values are not monotone; first violation at index {index}")
 
 
-class GridMismatch(TecError):
-    pass
-
-
 class DepthTooLarge(TecError):
     pass
 
 
 class DegenerateRoot(TecError):
-    pass
-
-
-class DegeneratePoint(TecError):
     pass
 
 

@@ -2,9 +2,10 @@
 rank-based brute-force oracle over GF(2)^4.
 
 The closed forms come from enumerating the 25 erasure-pattern pairs of two
-channels.  The oracle re-derives that enumeration independently, by tracking
-which linear functionals of the four input bits are revealed and computing
-span membership over the two-element field.
+channels; they take 5-tuples of floats or of array columns, so scalar and
+array paths share arithmetic.  The oracle re-derives that enumeration
+independently, by tracking which linear functionals of the four input bits
+are revealed and computing span membership over the two-element field.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .channel import BalancedPoint, TecChannel
-from .errors import InfeasiblePoint
+from .channel import BalancedPoint, TecChannel, require_balanced, rotate
+from .errors import OutOfRange
 
 
 @dataclass(frozen=True)
@@ -24,42 +25,35 @@ class ChildPair:
     parallel: TecChannel
 
 
-def serial_combine(u: TecChannel, v: TecChannel) -> TecChannel:
-    """Channel seen by a decoder guessing the componentwise sum of the inputs."""
-    p, q, r, s, _t = u.as_tuple()
-    p2, q2, r2, s2, _t2 = v.as_tuple()
+def _serial(u, v):
+    """The serial combination: the decoder guesses the componentwise sum."""
+    p, q, r, s, _t = u
+    p2, q2, r2, s2, _t2 = v
     a = p * p2
     b = p * q2 + q * q2 + q * p2
     c = p * r2 + r * r2 + r * p2
     d = p * s2 + s * s2 + s * p2
-    return TecChannel(a, b, c, d, max(1.0 - a - b - c - d, 0.0))
+    return a, b, c, d, np.maximum(1.0 - (a + b + c + d), 0.0)
+
+
+def _parallel(u, v):
+    """dual(serial(dual u, dual v)); dual reverses the five-tuple."""
+    return _serial(u[::-1], v[::-1])[::-1]
+
+
+def serial_combine(u: TecChannel, v: TecChannel) -> TecChannel:
+    """Channel seen by a decoder guessing the componentwise sum of the inputs."""
+    return tec_from_row(_serial(u.as_tuple(), v.as_tuple()))
 
 
 def parallel_combine(u: TecChannel, v: TecChannel) -> TecChannel:
     """Channel seen when guessing u's input given both outputs and the sums."""
-    _p, q, r, s, t = u.as_tuple()
-    _p2, q2, r2, s2, t2 = v.as_tuple()
-    b = t * q2 + q * q2 + q * t2
-    c = t * r2 + r * r2 + r * t2
-    d = t * s2 + s * s2 + s * t2
-    e = t * t2
-    return TecChannel(max(1.0 - b - c - d - e, 0.0), b, c, d, e)
+    return tec_from_row(_parallel(u.as_tuple(), v.as_tuple()))
 
 
 def twisted_children(w: TecChannel) -> ChildPair:
     """Both children under the twisted kernel: combine w with its rotation."""
-    p, q, r, s, t = w.as_tuple()
-    sp = p * p
-    sq = p * s + s * q + q * p
-    sr = p * q + q * r + r * p
-    ss = p * r + r * s + s * p
-    serial = TecChannel(sp, sq, sr, ss, max(1.0 - sp - sq - sr - ss, 0.0))
-    pt = t * t
-    pq = t * s + s * q + q * t
-    pr = t * q + q * r + r * t
-    ps = t * r + r * s + s * t
-    parallel = TecChannel(max(1.0 - pq - pr - ps - pt, 0.0), pq, pr, ps, pt)
-    return ChildPair(serial, parallel)
+    return ChildPair(serial_combine(w, rotate(w)), parallel_combine(w, rotate(w)))
 
 
 def untwisted_children(w: TecChannel) -> ChildPair:
@@ -67,25 +61,31 @@ def untwisted_children(w: TecChannel) -> ChildPair:
     return ChildPair(serial_combine(w, w), parallel_combine(w, w))
 
 
-def bec_children(eps: float) -> tuple[float, float]:
-    """Erasure probabilities of the two children of BEC(eps)."""
-    from .errors import OutOfRange
-
-    if not 0.0 <= eps <= 1.0:
-        raise OutOfRange(f"erasure probability {eps!r} outside [0, 1]")
+def bec_children(eps):
+    """(serial, parallel) erasure probabilities of BEC(eps)'s children; eps may be an array."""
+    e = np.asarray(eps, dtype=float)
+    ok = (0.0 <= e) & (e <= 1.0)
+    if not ok.all():
+        raise OutOfRange(f"erasure probability {float(e[~ok].flat[0])!r} outside [0, 1]")
     return (2.0 * eps - eps * eps, eps * eps)
+
+
+def balanced_children(x, y):
+    """(h_p, e_p, h_s, e_s) of the children of balanced channels at (x, y),
+    floats or arrays; the caller vouches for feasibility.  A closed form:
+    reading these off 5-column children is several times slower."""
+    y2 = y * y
+    h_p = x * x - y2 / 12.0
+    e_p = 2.0 * x * y - 2.0 * y2 / 3.0
+    h_s = 2.0 * x - x * x + y2 / 12.0
+    e_s = 2.0 * y - 2.0 * x * y - 2.0 * y2 / 3.0
+    return h_p, e_p, h_s, e_s
 
 
 def balanced_child_maps(point: BalancedPoint) -> tuple[float, float, float, float]:
     """(h_p, e_p, h_s, e_s) of the children of the balanced channel at (x, y)."""
-    x, y = point.x, point.y
-    if not (0.0 <= x <= 1.0) or y < 0.0 or y > 2.0 * min(x, 1.0 - x) + 1e-12:
-        raise InfeasiblePoint(f"({x}, {y}) is not a feasible balanced point")
-    h_p = x * x - y * y / 12.0
-    e_p = 2.0 * x * y - 2.0 * y * y / 3.0
-    h_s = 2.0 * x - x * x + y * y / 12.0
-    e_s = 2.0 * y - 2.0 * x * y - 2.0 * y * y / 3.0
-    return (h_p, e_p, h_s, e_s)
+    require_balanced(point.x, point.y)
+    return balanced_children(point.x, point.y)
 
 
 def children_inertia_closed_form(w: TecChannel) -> tuple[float, float]:
@@ -169,6 +169,15 @@ def _class_table(mode: Literal["serial", "parallel"]) -> list[list[int]]:
 _TABLES = {"serial": _class_table("serial"), "parallel": _class_table("parallel")}
 
 
+def _brute_force(u, v, mode):
+    table = _TABLES[mode]
+    mass = [0.0] * 5
+    for i in range(5):
+        for j in range(5):
+            mass[table[i][j]] += u[i] * v[j]
+    return mass
+
+
 def brute_force_combine(
     u: TecChannel, v: TecChannel, mode: Literal["serial", "parallel"]
 ) -> TecChannel:
@@ -180,14 +189,15 @@ def brute_force_combine(
     """
     if mode not in _TABLES:
         raise ValueError(f"mode must be 'serial' or 'parallel', got {mode!r}")
-    table = _TABLES[mode]
-    pu = u.as_tuple()
-    pv = v.as_tuple()
-    mass = [0.0] * 5
-    for i in range(5):
-        for j in range(5):
-            mass[table[i][j]] += pu[i] * pv[j]
-    return TecChannel(*mass)
+    return tec_from_row(_brute_force(u.as_tuple(), v.as_tuple(), mode))
+
+
+def brute_force_arrays(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise brute_force_combine of two (N, 5) arrays; returns (serial, parallel)."""
+    return (
+        np.column_stack(_brute_force(u.T, v.T, "serial")),
+        np.column_stack(_brute_force(u.T, v.T, "parallel")),
+    )
 
 
 # --- random channel sampling ----------------------------------------------
@@ -212,47 +222,28 @@ def tec_from_row(row: np.ndarray) -> TecChannel:
     return TecChannel(*(float(v) for v in row))
 
 
-# --- vectorized closed forms (shared with the process module) --------------
+# --- array forms (shared with the process module) -------------------------
+
+
+def _stacked(u, v) -> tuple[np.ndarray, np.ndarray]:
+    return np.column_stack(_serial(u, v)), np.column_stack(_parallel(u, v))
+
+
+def combine_arrays(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise serial and parallel combinations of two (N, 5) arrays."""
+    return _stacked(u.T, v.T)
 
 
 def children_arrays(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Twisted children of an (N, 5) array of channels; returns (serial, parallel)."""
-    p, q, r, s, t = (w[:, k] for k in range(5))
-    serial = np.empty_like(w)
-    serial[:, 0] = p * p
-    serial[:, 1] = p * s + s * q + q * p
-    serial[:, 2] = p * q + q * r + r * p
-    serial[:, 3] = p * r + r * s + s * p
-    serial[:, 4] = 1.0 - serial[:, :4].sum(axis=1)
-    parallel = np.empty_like(w)
-    parallel[:, 1] = t * s + s * q + q * t
-    parallel[:, 2] = t * q + q * r + r * t
-    parallel[:, 3] = t * r + r * s + s * t
-    parallel[:, 4] = t * t
-    parallel[:, 0] = 1.0 - parallel[:, 1:].sum(axis=1)
-    np.clip(serial[:, 4], 0.0, None, out=serial[:, 4])
-    np.clip(parallel[:, 0], 0.0, None, out=parallel[:, 0])
-    return serial, parallel
+    """Twisted children of an (N, 5) array of channels; returns (serial, parallel).
+    The rotation of channel.rotate is the column order (p, s, q, r, t), not a copy."""
+    p, q, r, s, t = w.T
+    return _stacked(w.T, (p, s, q, r, t))
 
 
 def untwisted_children_arrays(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Untwisted (baseline) children of an (N, 5) array of channels."""
-    p, q, r, s, t = (w[:, k] for k in range(5))
-    serial = np.empty_like(w)
-    serial[:, 0] = p * p
-    serial[:, 1] = 2.0 * p * q + q * q
-    serial[:, 2] = 2.0 * p * r + r * r
-    serial[:, 3] = 2.0 * p * s + s * s
-    serial[:, 4] = 1.0 - serial[:, :4].sum(axis=1)
-    parallel = np.empty_like(w)
-    parallel[:, 1] = 2.0 * t * q + q * q
-    parallel[:, 2] = 2.0 * t * r + r * r
-    parallel[:, 3] = 2.0 * t * s + s * s
-    parallel[:, 4] = t * t
-    parallel[:, 0] = 1.0 - parallel[:, 1:].sum(axis=1)
-    np.clip(serial[:, 4], 0.0, None, out=serial[:, 4])
-    np.clip(parallel[:, 0], 0.0, None, out=parallel[:, 0])
-    return serial, parallel
+    return _stacked(w.T, w.T)
 
 
 def entropy_array(w: np.ndarray) -> np.ndarray:

@@ -49,28 +49,12 @@ class GenerationStats:
     mean_inertia: float
 
 
-def _to_array(channels: Sequence[TecChannel]) -> np.ndarray:
-    return np.array([w.as_tuple() for w in channels], dtype=float)
-
-
 def _evolve_array(gen: np.ndarray, kind: KernelKind) -> np.ndarray:
     serial, parallel = _CHILD_FNS[kind](gen)
     out = np.empty((2 * gen.shape[0], 5))
     out[0::2] = serial
     out[1::2] = parallel
     return out
-
-
-def evolve_generation(
-    channels: Sequence[TecChannel],
-    kind: KernelKind = KernelKind.QUATERNARY_TWIST,
-) -> list[TecChannel]:
-    """One polarization step: each channel is replaced by its two children,
-    serial first."""
-    if len(channels) == 0:
-        raise ValueError("need at least one channel")
-    out = _evolve_array(_to_array(channels), kind)
-    return [kernel.tec_from_row(row) for row in out]
 
 
 def _check_depth(depth: int) -> None:
@@ -86,6 +70,16 @@ def _path_string(index: int, depth: int) -> str:
     return "".join("p" if (index >> (depth - 1 - k)) & 1 else "s" for k in range(depth))
 
 
+def _records(paths, gen: np.ndarray) -> list[DescendantRecord]:
+    h = kernel.entropy_array(gen)
+    e = kernel.edge_mass_array(gen)
+    a = kernel.inertia_array(gen)
+    return [
+        DescendantRecord(path, kernel.tec_from_row(gen[i]), h[i], e[i], a[i])
+        for i, path in enumerate(paths)
+    ]
+
+
 def enumerate_descendants(
     root: TecChannel,
     depth: int,
@@ -93,18 +87,10 @@ def enumerate_descendants(
 ) -> list[DescendantRecord]:
     """All 2**depth descendants, in lexicographic path order (s < p)."""
     _check_depth(depth)
-    gen = _to_array([root])
+    gen = np.array([root.as_tuple()], dtype=float)
     for _ in range(depth):
         gen = _evolve_array(gen, kind)
-    h = kernel.entropy_array(gen)
-    e = kernel.edge_mass_array(gen)
-    a = kernel.inertia_array(gen)
-    return [
-        DescendantRecord(
-            _path_string(i, depth), kernel.tec_from_row(gen[i]), h[i], e[i], a[i]
-        )
-        for i in range(gen.shape[0])
-    ]
+    return _records((_path_string(i, depth) for i in range(gen.shape[0])), gen)
 
 
 def psi_expectation_series(
@@ -123,7 +109,7 @@ def psi_expectation_series(
     psi0 = (h0 * (1.0 - h0)) ** psi_exponent
     if psi0 <= 0.0:
         raise DegenerateRoot(f"root entropy {h0} is fully polarized")
-    gen = _to_array([root])
+    gen = np.array([root.as_tuple()], dtype=float)
     out = []
     for n in range(1, depth + 1):
         gen = _evolve_array(gen, kind)
@@ -135,17 +121,6 @@ def psi_expectation_series(
         out.append(
             GenerationStats(n, mean_psi, -math.log2(mean_psi / psi0), mean_a)
         )
-    return out
-
-
-def inertia_series(root: TecChannel, depth: int) -> list[float]:
-    """E[A(W_n)] per generation under the twist kernel."""
-    _check_depth(depth)
-    gen = _to_array([root])
-    out = []
-    for _ in range(depth):
-        gen = _evolve_array(gen, KernelKind.QUATERNARY_TWIST)
-        out.append(float(np.mean(kernel.inertia_array(gen))))
     return out
 
 
@@ -167,19 +142,7 @@ def sample_paths(
         serial, parallel = child_fn(gen)
         take_parallel = choices[:, k] == 1
         gen = np.where(take_parallel[:, None], parallel, serial)
-    h = kernel.entropy_array(gen)
-    e = kernel.edge_mass_array(gen)
-    a = kernel.inertia_array(gen)
-    return [
-        DescendantRecord(
-            "".join("p" if b else "s" for b in choices[i]),
-            kernel.tec_from_row(gen[i]),
-            h[i],
-            e[i],
-            a[i],
-        )
-        for i in range(count)
-    ]
+    return _records(("".join("p" if b else "s" for b in row) for row in choices), gen)
 
 
 def write_scatter_csv(records: Sequence[DescendantRecord], fh) -> None:

@@ -8,11 +8,11 @@ rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, TextIO, Union
+from typing import TextIO, Union
 
 import numpy as np
 
-from .errors import GridMismatch, NotMonotone
+from .errors import NotMonotone
 
 #: Monotonicity violations up to this size are treated as floating noise and
 #: pooled away; anything larger is a real modeling error and raises.
@@ -40,79 +40,23 @@ class LinearSpline:
         return np.interp(x, self.nodes, self.values)
 
 
-def eval(f: LinearSpline, x):
-    """Linear interpolation with boundary clamping."""
-    return f(x)
-
-
-def identity_spline(n: int = 2) -> LinearSpline:
-    grid = np.linspace(0.0, 1.0, n)
-    return LinearSpline(grid, grid.copy())
-
-
-def monotone_cleanup(values: np.ndarray, direction: Literal["auto", "up"] = "auto"):
+def monotone_cleanup(values: np.ndarray):
     """Return a non-decreasing copy of ``values``, pooling noise-level dips.
 
-    Raises NotMonotone (with the first offending index) if any dip exceeds
+    Decreasing input (last value below the first) is reversed first.  Raises
+    NotMonotone (with the first offending index) if any dip exceeds
     NOISE_TOL, or if the data is not monotone at all.  Returns the cleaned
     array and a bool telling whether the input was decreasing.
     """
     values = np.asarray(values, dtype=float)
-    diffs = np.diff(values)
-    decreasing = False
-    if direction == "auto" and values[-1] < values[0]:
-        decreasing = True
+    decreasing = bool(values[-1] < values[0])
+    if decreasing:
         values = values[::-1]
-        diffs = np.diff(values)
-    bad = np.nonzero(diffs < -NOISE_TOL)[0]
+    bad = np.nonzero(np.diff(values) < -NOISE_TOL)[0]
     if bad.size:
         raise NotMonotone(int(bad[0]))
     cleaned = np.maximum.accumulate(values)
     return cleaned, decreasing
-
-
-def inverse(f: LinearSpline) -> LinearSpline:
-    """Swap coordinates of a strictly monotone spline.
-
-    Noise-level monotonicity violations in the values are pooled first;
-    pooled plateaus keep only their first node so the result has strictly
-    increasing abscissae.
-    """
-    cleaned, decreasing = monotone_cleanup(f.values)
-    nodes = f.nodes[::-1] if decreasing else f.nodes
-    keep = np.concatenate(([True], np.diff(cleaned) > 0))
-    if keep.sum() < 2:
-        raise NotMonotone(0, "values are constant; no inverse exists")
-    return LinearSpline(cleaned[keep], nodes[keep])
-
-
-def _require_common_grid(f: LinearSpline, g: LinearSpline) -> None:
-    if f.nodes.shape != g.nodes.shape or not np.array_equal(f.nodes, g.nodes):
-        raise GridMismatch("splines are not on a common node grid")
-
-
-def pointwise_extremum(
-    f: LinearSpline, g: LinearSpline, mode: Literal["min", "max"]
-) -> LinearSpline:
-    """Node-wise min/max; crossings between nodes are not refined."""
-    _require_common_grid(f, g)
-    if mode == "min":
-        vals = np.minimum(f.values, g.values)
-    elif mode == "max":
-        vals = np.maximum(f.values, g.values)
-    else:
-        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-    return LinearSpline(f.nodes, vals)
-
-
-def sup_distance(f: LinearSpline, g: LinearSpline) -> float:
-    _require_common_grid(f, g)
-    return float(np.max(np.abs(f.values - g.values)))
-
-
-def resample(f: LinearSpline, nodes: np.ndarray) -> LinearSpline:
-    nodes = np.asarray(nodes, dtype=float)
-    return LinearSpline(nodes, f(nodes))
 
 
 def compose_through_inverse(
@@ -121,7 +65,8 @@ def compose_through_inverse(
     """Evaluate x -> e(h^{-1}(x)) on ``grid`` from parallel samples of h and e.
 
     ``h_vals`` must be monotone up to floating noise; this is the single-pass
-    spline inversion the trap iteration relies on.
+    spline inversion the trap iteration relies on.  Pooled plateaus keep
+    only their first node, so the inverse has strictly increasing abscissae.
     """
     cleaned, decreasing = monotone_cleanup(h_vals)
     e_vals = np.asarray(e_vals, dtype=float)

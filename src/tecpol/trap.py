@@ -15,6 +15,7 @@ import numpy as np
 
 from .channel import EDGE_HEAVY_THRESHOLD
 from .errors import UnknownCurve
+from .kernel import balanced_children
 from .spline import LinearSpline, compose_through_inverse
 
 CURVE_NAMES = ("alpha_parabola", "outer_parabola", "poly_inner", "poly_outer")
@@ -37,16 +38,6 @@ def analytic_curve(name: str, x):
     return out if out.ndim else float(out)
 
 
-def child_maps_on_grid(x: np.ndarray, y: np.ndarray):
-    """(h_p, e_p, h_s, e_s) arrays for balanced channels at (x, y)."""
-    y2 = y * y
-    h_p = x * x - y2 / 12.0
-    e_p = 2.0 * x * y - 2.0 * y2 / 3.0
-    h_s = 2.0 * x - x * x + y2 / 12.0
-    e_s = 2.0 * y - 2.0 * x * y - 2.0 * y2 / 3.0
-    return h_p, e_p, h_s, e_s
-
-
 @dataclass(frozen=True)
 class BoundIteration:
     curve: LinearSpline
@@ -64,7 +55,7 @@ class TrapBounds:
 
 
 def _iterate_once(grid: np.ndarray, curve: np.ndarray, mode: str) -> np.ndarray:
-    h_p, e_p, h_s, e_s = child_maps_on_grid(grid, curve)
+    h_p, e_p, h_s, e_s = balanced_children(grid, curve)
     e_pk = compose_through_inverse(h_p, e_p, grid)
     e_sk = compose_through_inverse(h_s, e_s, grid)
     nxt = np.minimum(e_pk, e_sk) if mode == "inner" else np.maximum(e_pk, e_sk)
@@ -159,7 +150,7 @@ def invariance_check(
     else:
         y[stratum] = np.maximum(c[stratum] - off, 0.0)
 
-    h_p, e_p, h_s, e_s = child_maps_on_grid(x, y)
+    h_p, e_p, h_s, e_s = balanced_children(x, y)
     c_p = np.asarray(curve(h_p), dtype=float)
     c_s = np.asarray(curve(h_s), dtype=float)
     if side == "above":

@@ -15,7 +15,7 @@ import numpy as np
 from . import kernel
 from .channel import EDGE_HEAVY_THRESHOLD
 from .errors import UnknownCheck
-from .trap import analytic_curve, child_maps_on_grid
+from .trap import analytic_curve
 
 MARGIN_FLOOR = -1e-9
 
@@ -93,10 +93,21 @@ def _balanced_q_sample(rng, count, q_low, q_high_cap, near=None):
 
 
 def _child_quetelet(x, y):
-    h_p, e_p, h_s, e_s = child_maps_on_grid(x, y)
+    h_p, e_p, h_s, e_s = kernel.balanced_children(x, y)
     q_p = e_p / (h_p * (1.0 - h_p))
     q_s = e_s / (h_s * (1.0 - h_s))
-    return q_s, q_p, h_s, h_p
+    return q_s, q_p
+
+
+def _below_alpha_sample(rng, samples):
+    """Balanced points with Quetelet index b = (alpha - eps) U and their children's
+    indices; the bounds degenerate as eps -> 0, so eps is log-uniform from 1e-4."""
+    alpha = EDGE_HEAVY_THRESHOLD
+    eps = 10.0 ** rng.uniform(-4.0, np.log10(alpha) - 1e-9, samples)
+    x = rng.uniform(1e-6, 1.0 - 1e-6, samples)
+    b = np.maximum(rng.uniform(0.0, 1.0, samples) * (alpha - eps), 1e-9)
+    y = b * x * (1.0 - x)
+    return eps, x, y, b, *_child_quetelet(x, y)
 
 
 def _worst(margins, witness_fn):
@@ -107,23 +118,22 @@ def _worst(margins, witness_fn):
 # --- checks -----------------------------------------------------------------
 
 
-def _check_uniform_a(rng, samples):
+def _stratified(rng, samples, functional):
+    """Stratified channels w, and ``functional`` of w and of its twisted children."""
     w = stratified_tecs(rng, samples)
-    a = kernel.inertia_array(w)
     serial, parallel = kernel.children_arrays(w)
-    a_s = kernel.inertia_array(serial)
-    a_p = kernel.inertia_array(parallel)
-    bound = a * (1.0 - a / 3.0)
-    margins = bound - np.maximum(a_s, a_p)
+    return w, functional(w), functional(serial), functional(parallel)
+
+
+def _check_uniform_a(rng, samples):
+    w, a, a_s, a_p = _stratified(rng, samples, kernel.inertia_array)
+    margins = a * (1.0 - a / 3.0) - np.maximum(a_s, a_p)
     return _worst(margins, lambda k: {"tec": [float(v) for v in w[k]]})
 
 
 def _check_average_a(rng, samples):
-    w = stratified_tecs(rng, samples)
-    a = kernel.inertia_array(w)
-    serial, parallel = kernel.children_arrays(w)
-    margins = a - kernel.inertia_array(serial) - kernel.inertia_array(parallel)
-    return _worst(margins, lambda k: {"tec": [float(v) for v in w[k]]})
+    w, a, a_s, a_p = _stratified(rng, samples, kernel.inertia_array)
+    return _worst(a - a_s - a_p, lambda k: {"tec": [float(v) for v in w[k]]})
 
 
 def _check_ultimate_a(rng, samples):
@@ -148,20 +158,13 @@ def _check_ultimate_a(rng, samples):
 def _check_trap(rng, samples):
     alpha = EDGE_HEAVY_THRESHOLD
     x, y, _b = _balanced_q_sample(rng, samples, alpha, np.inf, near="low")
-    q_s, q_p, _, _ = _child_quetelet(x, y)
+    q_s, q_p = _child_quetelet(x, y)
     margins = np.minimum(q_s - alpha, q_p - alpha)
     return _worst(margins, lambda k: {"x": float(x[k]), "y": float(y[k])})
 
 
 def _check_inner_q(rng, samples):
-    alpha = EDGE_HEAVY_THRESHOLD
-    # the bound degenerates as eps -> 0, so eps is log-uniform down to 1e-4
-    eps = 10.0 ** rng.uniform(-4.0, np.log10(alpha) - 1e-9, samples)
-    x = rng.uniform(1e-6, 1.0 - 1e-6, samples)
-    b = rng.uniform(0.0, 1.0, samples) * (alpha - eps)
-    b = np.maximum(b, 1e-9)
-    y = b * x * (1.0 - x)
-    q_s, q_p, _, _ = _child_quetelet(x, y)
+    eps, x, y, b, q_s, q_p = _below_alpha_sample(rng, samples)
     delta = 3.0 * eps / 8.0
     margins = np.minimum(
         q_s - b * (1.0 + x * delta), q_p - b * (1.0 + (1.0 - x) * delta)
@@ -172,12 +175,7 @@ def _check_inner_q(rng, samples):
 
 
 def _check_uniform_q(rng, samples):
-    alpha = EDGE_HEAVY_THRESHOLD
-    eps = 10.0 ** rng.uniform(-4.0, np.log10(alpha) - 1e-9, samples)
-    x = rng.uniform(1e-6, 1.0 - 1e-6, samples)
-    b = np.maximum(rng.uniform(0.0, 1.0, samples) * (alpha - eps), 1e-9)
-    y = b * x * (1.0 - x)
-    q_s, q_p, _, _ = _child_quetelet(x, y)
+    eps, x, y, b, q_s, q_p = _below_alpha_sample(rng, samples)
     goal = b * (1.0 + eps / 8.0)
     margins = np.full(samples, np.inf)
     hi = x >= 1.0 / 3.0
@@ -192,7 +190,7 @@ def _check_uniform_q(rng, samples):
 def _check_gap_jump(rng, samples):
     x = rng.uniform(2.0 / 3.0, 1.0, samples)
     y = rng.uniform(0.0, 1.0, samples) * 2.0 * (1.0 - x)
-    h_p = x * x - y * y / 12.0
+    h_p = kernel.balanced_children(x, y)[0]
     margins = h_p - 11.0 / 27.0
     return _worst(margins, lambda k: {"x": float(x[k]), "y": float(y[k])})
 
@@ -202,11 +200,11 @@ def _check_outer_q(rng, samples):
     k = samples // 4
     # stress the boundary Q = 2
     y[:k] = 2.0 * x[:k] * (1.0 - x[:k])
-    # Q <= 2 is equivalent to 2H(1-H) - E >= 0; the polynomial form stays
-    # accurate near the endpoints where H(1-H) underflows the quotient
-    h_p, e_p, h_s, e_s = child_maps_on_grid(x, y)
-    one_minus_hp = (1.0 - x) * (1.0 + x) + y * y / 12.0
-    one_minus_hs = (1.0 - x) ** 2 - y * y / 12.0
+    # Q <= 2 is equivalent to 2H(1-H) - E >= 0; 1 - H is read off the dual
+    # point (1 - x, y), where serial and parallel swap, which stays accurate
+    # near the endpoints where H(1-H) underflows the quotient
+    h_p, e_p, h_s, e_s = kernel.balanced_children(x, y)
+    one_minus_hs, _, one_minus_hp, _ = kernel.balanced_children(1.0 - x, y)
     margins = np.minimum(
         2.0 * h_s * one_minus_hs - e_s, 2.0 * h_p * one_minus_hp - e_p
     )
@@ -233,7 +231,7 @@ def _check_fg_bounds(rng, samples):
     y = np.empty(samples)
     y[:half] = f_x[:half] + u[:half] * (cap[:half] - f_x[:half])
     y[half:] = u[half:] * g_x[half:]
-    h_p, e_p, h_s, e_s = child_maps_on_grid(x, y)
+    h_p, e_p, h_s, e_s = kernel.balanced_children(x, y)
     margins = np.empty(samples)
     margins[:half] = np.minimum(
         e_p[:half] - _poly_f(h_p[:half]), e_s[:half] - _poly_f(h_s[:half])
@@ -255,32 +253,21 @@ def _check_oracle(rng, samples):
     count = min(samples, 10_000)
     us = kernel.sample_tecs(rng, count)
     vs = kernel.sample_tecs(rng, count)
-    worst = 0.0
-    witness = {}
-    for i in range(count):
-        u = kernel.tec_from_row(us[i])
-        v = kernel.tec_from_row(vs[i])
-        for mode, closed in (
-            ("serial", kernel.serial_combine(u, v)),
-            ("parallel", kernel.parallel_combine(u, v)),
-        ):
-            oracle = kernel.brute_force_combine(u, v, mode)
-            diff = max(
-                abs(a - b) for a, b in zip(closed.as_tuple(), oracle.as_tuple())
-            )
-            if diff > worst:
-                worst = diff
-                witness = {"u": [float(v) for v in us[i]], "v": [float(v) for v in vs[i]], "mode": mode}
-    return -worst, witness
+    pairs = zip(kernel.combine_arrays(us, vs), kernel.brute_force_arrays(us, vs))
+    # worst gap per (pair, mode); the row-major argmax takes the first pair,
+    # and serial before parallel, among equal gaps
+    diffs = np.column_stack([np.abs(c - o).max(axis=1) for c, o in pairs])
+    i, m = divmod(int(np.argmax(diffs)), 2)
+    worst = float(diffs[i, m])
+    if worst == 0.0:
+        return -worst, {}
+    mode = ("serial", "parallel")[m]
+    return -worst, {"u": [float(v) for v in us[i]], "v": [float(v) for v in vs[i]], "mode": mode}
 
 
 def _check_conservation(rng, samples):
-    w = stratified_tecs(rng, samples)
-    h = kernel.entropy_array(w)
-    serial, parallel = kernel.children_arrays(w)
-    defect = np.abs(
-        kernel.entropy_array(serial) + kernel.entropy_array(parallel) - 2.0 * h
-    )
+    w, h, h_s, h_p = _stratified(rng, samples, kernel.entropy_array)
+    defect = np.abs(h_s + h_p - 2.0 * h)
     return _worst(-defect, lambda k: {"tec": [float(v) for v in w[k]]})
 
 
@@ -321,7 +308,3 @@ def run_check(check_id: str, samples: int = 100_000, seed: int = 0) -> Verificat
         passed=bool(worst >= MARGIN_FLOOR),
         note=note,
     )
-
-
-def run_all(samples: int = 100_000, seed: int = 0) -> list[VerificationReport]:
-    return [run_check(cid, samples, seed) for cid in CHECK_IDS]

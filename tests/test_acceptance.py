@@ -127,7 +127,7 @@ def test_criterion_04_lemma_eigen_ratio():
 
 def test_criterion_05_bec_power_iteration():
     start = time.perf_counter()
-    res = eigen.power_iterate(eigen.BinaryBEC(), nodes=100_000)
+    res = eigen.power_iterate(kernel.bec_children, nodes=100_000)
     elapsed = time.perf_counter() - start
     _report(
         "05 bec-power-iteration",
@@ -138,7 +138,7 @@ def test_criterion_05_bec_power_iteration():
 
 def test_criterion_06_alpha_parabola_bound():
     res = eigen.power_iterate(
-        eigen.TwistOnCurve(lambda x: trap.analytic_curve("alpha_parabola", x)),
+        eigen.twist_on_curve(lambda x: trap.analytic_curve("alpha_parabola", x)),
         nodes=100_000,
     )
     _report("06 alpha-parabola-bound", res.mu <= 3.451, f"mu {res.mu:.4f}")
@@ -163,7 +163,7 @@ def test_criterion_07_trap_fixed_points():
 
 
 def test_criterion_08_enhanced_bound(trap_bounds):
-    res = eigen.power_iterate(eigen.TwistOnCurve(trap_bounds.inner), nodes=100_000)
+    res = eigen.power_iterate(eigen.twist_on_curve(trap_bounds.inner), nodes=100_000)
     _report("08 enhanced-bound", res.mu <= 3.328 + 0.01, f"mu {res.mu:.4f}")
 
 

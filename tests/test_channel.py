@@ -163,10 +163,3 @@ def test_balanced_round_trip(x, u):
 def test_bec_pair_quetelet_is_two(eps):
     f = channel.functionals(channel.from_bec_pair(eps, eps))
     assert f.quetelet == pytest.approx(2.0, abs=1e-9)
-
-
-def test_parse_and_format_round_trip():
-    w = channel.parse_channel("0.2025,0.2475,0,0.2475,0.3025")
-    assert channel.parse_channel(channel.format_channel(w)) == w
-    with pytest.raises(OutOfRange):
-        channel.parse_channel("0.5,0.5")

@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from tecpol import cli
+from tecpol import cli, verify
 from tecpol.channel import from_bec_pair, from_qary_erasure, new_tec
 
 
@@ -73,6 +74,8 @@ def test_trap_command(tmp_path, capsys):
     path = str(tmp_path / "inner.csv")
     args = ["trap", "--mode", "inner", "--nodes", "5000", "--out", path]
     assert cli.run(args) == 0
+    # the benchmark counts trap iterations from this line
+    assert re.fullmatch(r"inner bound: [1-9]\d* iterations\n", capsys.readouterr().err)
     lines = open(path).read().splitlines()
     assert lines[0] == "x,y"
     assert len(lines) == 5001
@@ -103,6 +106,23 @@ def test_eigen_power_curve_file(tmp_path, capsys):
     assert payload["mu"] < 3.451
 
 
+@pytest.mark.parametrize(
+    "curve", [lambda x: -0.2 * x * (1 - x), lambda x: 0.9], ids=["negative", "above-cap"]
+)
+def test_eigen_power_rejects_infeasible_curve_file(tmp_path, capsys, curve):
+    # y < 0, or y above 2 min(x, 1 - x), is no balanced channel
+    path = str(tmp_path / "curve.csv")
+    with open(path, "w") as fh:
+        fh.write("x,y\n")
+        for x in [i / 100 for i in range(101)]:
+            fh.write(f"{x!r},{curve(x)!r}\n")
+    args = ["eigen", "power", "--map", "curve", "--curve-file", path, "--nodes", "5000"]
+    assert cli.run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not a balanced point" in captured.err
+
+
 def test_verify_single_check(capsys):
     assert cli.run(["verify", "conservation", "--samples", "2000"]) == 0
     captured = capsys.readouterr()
@@ -115,6 +135,7 @@ def test_verify_all(capsys):
     assert cli.run(["verify", "all", "--samples", "1000"]) == 0
     reports = json.loads(capsys.readouterr().out)
     assert len(reports) == 11
+    assert [r["id"] for r in reports] == list(verify.CHECK_IDS)
 
 
 def test_fig3_command(capsys):

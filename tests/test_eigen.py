@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from tecpol import eigen, trap
-from tecpol.errors import DegeneratePoint, OutOfRange
+from tecpol import eigen, kernel, trap
+from tecpol.errors import OutOfRange
 
 
 def lemma_curve(x):
@@ -14,23 +14,22 @@ def psi07(x):
     return (x * (1.0 - x)) ** 0.7
 
 
+def one_step_ratio(psi, child_map, x):
+    """[psi(H_s(x)) + psi(H_p(x))] / (2 psi(x))"""
+    h_s, h_p = child_map(x)
+    return float((psi(h_s) + psi(h_p)) / (2.0 * psi(x)))
+
+
 def test_one_step_ratio_bec_example():
     # [(0.7975*0.2025)^0.7 + (0.3025*0.6975)^0.7] / (2*(0.55*0.45)^0.7)
-    got = eigen.one_step_ratio(psi07, eigen.BinaryBEC(), 0.55)
+    got = one_step_ratio(psi07, kernel.bec_children, 0.55)
     assert got == pytest.approx(0.817984, abs=1e-6)
-
-
-def test_one_step_ratio_rejects_degenerate():
-    with pytest.raises(DegeneratePoint):
-        eigen.one_step_ratio(psi07, eigen.BinaryBEC(), 0.0)
-    with pytest.raises(DegeneratePoint):
-        eigen.one_step_ratio(lambda x: 0.0, eigen.BinaryBEC(), 0.5)
 
 
 def test_lemma_quartics_match_twist_on_lemma_curve():
     x = np.linspace(0.01, 0.99, 199)
     hs_a, hp_a = eigen.lemma_child_entropies(x)
-    hs_b, hp_b = eigen.TwistOnCurve(lemma_curve).entropies(x)
+    hs_b, hp_b = eigen.twist_on_curve(lemma_curve)(x)
     np.testing.assert_allclose(hs_a, hs_b, atol=1e-14)
     np.testing.assert_allclose(hp_a, hp_b, atol=1e-14)
     np.testing.assert_allclose(hs_a + hp_a, 2 * x, atol=1e-14)
@@ -38,9 +37,7 @@ def test_lemma_quartics_match_twist_on_lemma_curve():
 
 def test_lemma_ratio_below_bound_on_lemma_curve():
     for x in np.linspace(0.05, 0.95, 19):
-        r = eigen.one_step_ratio(
-            eigen.lemma_psi, eigen.TwistOnCurve(lemma_curve), float(x)
-        )
+        r = one_step_ratio(eigen.lemma_psi, eigen.twist_on_curve(lemma_curve), float(x))
         assert r < eigen.LEMMA_RATIO_BOUND
 
 
@@ -58,8 +55,8 @@ def test_ratio_decreases_when_curve_rises(rng):
         cap = 2.0 * min(x, 1.0 - x)
         y1 = rng.uniform(0.0, cap)
         y2 = rng.uniform(y1, cap)
-        lo = eigen.one_step_ratio(psi07, eigen.TwistOnCurve(lambda _: np.asarray(y2)), x)
-        hi = eigen.one_step_ratio(psi07, eigen.TwistOnCurve(lambda _: np.asarray(y1)), x)
+        lo = one_step_ratio(psi07, eigen.twist_on_curve(lambda _: np.asarray(y2)), x)
+        hi = one_step_ratio(psi07, eigen.twist_on_curve(lambda _: np.asarray(y1)), x)
         assert lo <= hi + 1e-12
 
 
@@ -74,7 +71,7 @@ def test_mu_from_lambda():
 
 
 def test_power_iterate_binary_bec():
-    res = eigen.power_iterate(eigen.BinaryBEC(), nodes=20_000, tol=1e-9)
+    res = eigen.power_iterate(kernel.bec_children, nodes=20_000, tol=1e-9)
     assert res.mu == pytest.approx(3.627, abs=0.01)
     assert 0.0 < res.lam < 1.0
     assert res.concave
@@ -85,7 +82,7 @@ def test_power_iterate_binary_bec():
 
 def test_power_iterate_alpha_parabola():
     res = eigen.power_iterate(
-        eigen.TwistOnCurve(lambda x: trap.analytic_curve("alpha_parabola", x)),
+        eigen.twist_on_curve(lambda x: trap.analytic_curve("alpha_parabola", x)),
         nodes=20_000,
     )
     assert res.mu <= 3.451
@@ -94,7 +91,7 @@ def test_power_iterate_alpha_parabola():
 
 def test_eigenfunction_symmetry_for_symmetric_curve():
     res = eigen.power_iterate(
-        eigen.TwistOnCurve(lambda x: trap.analytic_curve("alpha_parabola", x)),
+        eigen.twist_on_curve(lambda x: trap.analytic_curve("alpha_parabola", x)),
         nodes=20_001,
         tol=1e-9,
     )
@@ -105,11 +102,11 @@ def test_eigenfunction_symmetry_for_symmetric_curve():
 def test_lambda_insensitive_to_psi_floor():
     lams = []
     for floor in (1e-12, 1e-9, 1e-6):
-        res = eigen.power_iterate(eigen.BinaryBEC(), nodes=20_000, psi_floor=floor)
+        res = eigen.power_iterate(kernel.bec_children, nodes=20_000, psi_floor=floor)
         lams.append(res.lam)
     assert max(lams) - min(lams) <= 1e-4
 
 
 def test_power_iterate_on_numerical_inner_bound(trap_bounds):
-    res = eigen.power_iterate(eigen.TwistOnCurve(trap_bounds.inner), nodes=20_000)
+    res = eigen.power_iterate(eigen.twist_on_curve(trap_bounds.inner), nodes=20_000)
     assert res.mu <= 3.328 + 0.01

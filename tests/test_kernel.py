@@ -204,18 +204,27 @@ def test_uniform_inertia_loss(comps):
 
 
 def test_array_helpers_agree_with_scalar_path(rng):
+    # one formula serves both paths, so they agree bit for bit
     rows = kernel.sample_tecs(rng, 100)
+    others = kernel.sample_tecs(rng, 100)
     serial, parallel = kernel.children_arrays(rows)
     useries, uparallel = kernel.untwisted_children_arrays(rows)
+    cserial, cparallel = kernel.combine_arrays(rows, others)
+    oserial, oparallel = kernel.brute_force_arrays(rows, others)
     for i, row in enumerate(rows):
         w = kernel.tec_from_row(row)
+        v = kernel.tec_from_row(others[i])
         tw = kernel.twisted_children(w)
         un = kernel.untwisted_children(w)
-        np.testing.assert_allclose(serial[i], tw.serial.as_tuple(), atol=TOL)
-        np.testing.assert_allclose(parallel[i], tw.parallel.as_tuple(), atol=TOL)
-        np.testing.assert_allclose(useries[i], un.serial.as_tuple(), atol=TOL)
-        np.testing.assert_allclose(uparallel[i], un.parallel.as_tuple(), atol=TOL)
+        assert tuple(serial[i]) == tw.serial.as_tuple()
+        assert tuple(parallel[i]) == tw.parallel.as_tuple()
+        assert tuple(useries[i]) == un.serial.as_tuple()
+        assert tuple(uparallel[i]) == un.parallel.as_tuple()
+        assert tuple(cserial[i]) == kernel.serial_combine(w, v).as_tuple()
+        assert tuple(cparallel[i]) == kernel.parallel_combine(w, v).as_tuple()
+        assert tuple(oserial[i]) == kernel.brute_force_combine(w, v, "serial").as_tuple()
+        assert tuple(oparallel[i]) == kernel.brute_force_combine(w, v, "parallel").as_tuple()
         f = functionals(w)
-        assert kernel.entropy_array(rows)[i] == pytest.approx(f.entropy, abs=TOL)
-        assert kernel.edge_mass_array(rows)[i] == pytest.approx(f.edge_mass, abs=TOL)
-        assert kernel.inertia_array(rows)[i] == pytest.approx(f.inertia, abs=TOL)
+        assert kernel.entropy_array(rows)[i] == f.entropy
+        assert kernel.edge_mass_array(rows)[i] == f.edge_mass
+        assert kernel.inertia_array(rows)[i] == f.inertia

@@ -12,16 +12,20 @@ TWIST = KernelKind.QUATERNARY_TWIST
 BASE = KernelKind.UNTWISTED_BASELINE
 
 
+def children(root, kind=TWIST):
+    return [r.channel for r in process.enumerate_descendants(root, 1, kind)]
+
+
 def test_evolve_polarized_fixed_points():
     perfect = new_tec(1, 0, 0, 0, 0)
     useless = new_tec(0, 0, 0, 0, 1)
     for kind in (TWIST, BASE):
-        assert process.evolve_generation([perfect], kind) == [perfect, perfect]
-        assert process.evolve_generation([useless], kind) == [useless, useless]
+        assert children(perfect, kind) == [perfect, perfect]
+        assert children(useless, kind) == [useless, useless]
 
 
 def test_evolve_orders_serial_then_parallel(bec55):
-    out = process.evolve_generation([bec55], TWIST)
+    out = children(bec55)
     assert functionals(out[0]).entropy == pytest.approx(0.828128, abs=1e-6)
     assert functionals(out[1]).entropy == pytest.approx(0.271872, abs=1e-6)
 
@@ -83,21 +87,22 @@ def test_psi_series_rejects_degenerate_root():
 
 def test_inertia_series_average_decay(bec55):
     a0 = functionals(bec55).inertia
-    series = process.inertia_series(bec55, 10)
-    for n, mean_a in enumerate(series, start=1):
-        assert mean_a <= a0 / 2**n + 1e-12
+    for st in process.psi_expectation_series(bec55, 10):
+        assert st.mean_inertia <= a0 / 2**st.generation + 1e-12
 
 
 def test_inertia_series_balanced_root_is_zero():
     root = from_balanced(BalancedPoint(0.5, 0.3))
-    assert all(v == pytest.approx(0.0, abs=1e-12) for v in process.inertia_series(root, 6))
+    series = process.psi_expectation_series(root, 6)
+    assert all(st.mean_inertia == pytest.approx(0.0, abs=1e-12) for st in series)
 
 
 def test_every_descendant_obeys_uniform_inertia_loss(bec55):
+    # the parent of record i at depth n is record i // 2 at depth n - 1
     gen = [bec55]
-    for _ in range(8):
+    for depth in range(1, 9):
         parents = gen
-        gen = process.evolve_generation(parents, TWIST)
+        gen = [r.channel for r in process.enumerate_descendants(bec55, depth)]
         for i, child in enumerate(gen):
             a_parent = functionals(parents[i // 2]).inertia
             assert functionals(child).inertia <= a_parent * (1 - a_parent / 3) + 1e-12
