@@ -45,6 +45,11 @@ def test_report_json_round_trip():
     assert payload["pass"] is True
 
 
+def test_run_all_covers_every_check():
+    reports = [verify.run_check(cid, samples=2000, seed=1) for cid in verify.CHECK_IDS]
+    assert [r.check_id for r in reports] == list(verify.CHECK_IDS)
+
+
 def test_stratified_sampler_shape_and_simplex(rng):
     w = verify.stratified_tecs(rng, 1234)
     assert w.shape == (1234, 5)
