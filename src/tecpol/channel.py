@@ -131,11 +131,27 @@ def from_balanced(point: BalancedPoint) -> TecChannel:
     return TecChannel(max(1.0 - x - y / 2.0, 0.0), e3, e3, e3, max(x - y / 2.0, 0.0))
 
 
+# H, E and A of a five-tuple (p, q, r, s, t) of floats or of array columns;
+# functionals() and the array forms in kernel both evaluate these.
+
+
+def entropy_of(w):
+    return edge_mass_of(w) / 2.0 + w[4]
+
+
+def edge_mass_of(w):
+    return w[1] + w[2] + w[3]
+
+
+def inertia_of(w):
+    _p, q, r, s, _t = w
+    return (q - r) ** 2 + (r - s) ** 2 + (s - q) ** 2
+
+
 def functionals(w: TecChannel) -> ChannelFunctionals:
     """Entropy, edge mass, moment of inertia, and Quetelet index of w."""
-    h = (w.q + w.r + w.s) / 2.0 + w.t
-    e = w.q + w.r + w.s
-    a = (w.q - w.r) ** 2 + (w.r - w.s) ** 2 + (w.s - w.q) ** 2
+    row = w.as_tuple()
+    h, e, a = entropy_of(row), edge_mass_of(row), inertia_of(row)
     q_idx = e / (h * (1.0 - h)) if 0.0 < h < 1.0 else None
     return ChannelFunctionals(h, e, a, q_idx)
 

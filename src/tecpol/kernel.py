@@ -16,6 +16,7 @@ from typing import Iterable, Literal
 import numpy as np
 
 from .channel import BalancedPoint, TecChannel, require_balanced, rotate
+from .channel import edge_mass_of, entropy_of, inertia_of
 from .errors import OutOfRange
 
 
@@ -223,10 +224,12 @@ def tec_from_row(row: np.ndarray) -> TecChannel:
 
 
 # --- array forms (shared with the process module) -------------------------
+# (N, 5) inputs in either order; children come out column-major, as views of
+# contiguous (5, N) buffers, so the maps run over contiguous columns.
 
 
 def _stacked(u, v) -> tuple[np.ndarray, np.ndarray]:
-    return np.column_stack(_serial(u, v)), np.column_stack(_parallel(u, v))
+    return np.stack(_serial(u, v)).T, np.stack(_parallel(u, v)).T
 
 
 def combine_arrays(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,13 +250,12 @@ def untwisted_children_arrays(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def entropy_array(w: np.ndarray) -> np.ndarray:
-    return w[:, 1:4].sum(axis=1) / 2.0 + w[:, 4]
+    return entropy_of(w.T)
 
 
 def edge_mass_array(w: np.ndarray) -> np.ndarray:
-    return w[:, 1:4].sum(axis=1)
+    return edge_mass_of(w.T)
 
 
 def inertia_array(w: np.ndarray) -> np.ndarray:
-    q, r, s = w[:, 1], w[:, 2], w[:, 3]
-    return (q - r) ** 2 + (r - s) ** 2 + (s - q) ** 2
+    return inertia_of(w.T)

@@ -1,16 +1,18 @@
 """The channel process: exact descendant trees and seeded Monte Carlo paths.
 
-A generation is kept as an (N, 5) float array; children are produced in the
-fixed order serial-then-parallel, so path strings sorted with s < p coincide
-with array order.
+A generation is kept as a column-major (N, 5) float array; children are
+produced in the fixed order serial-then-parallel, so path strings sorted with
+s < p coincide with array order.  Results are ``Descendants`` tables.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import repeat
 
 import numpy as np
 
@@ -32,13 +34,68 @@ _CHILD_FNS = {
 }
 
 
-@dataclass(frozen=True)
+#: the path characters of a serial (0) and a parallel (1) step
+_STEP_CHARS = np.frombuffer(b"sp", dtype=np.uint8)
+
+
+def _column(name: str) -> property:
+    return property(lambda rec: getattr(rec._table, name)[rec._i])
+
+
 class DescendantRecord:
-    path: str
-    channel: TecChannel
-    entropy: float
-    edge_mass: float
-    inertia: float
+    """Row i of a Descendants table, read on demand: H, E and A are the
+    table's np.float64 entries, the path and the channel are built when read."""
+
+    __slots__ = ("_table", "_i")
+    entropy = _column("entropy")
+    edge_mass = _column("edge_mass")
+    inertia = _column("inertia")
+
+    def __init__(self, table: Descendants, i: int):
+        self._table, self._i = table, i
+
+    @property
+    def path(self) -> str:
+        return self._table.path_chars[self._i].tobytes().decode("ascii")
+
+    @property
+    def channel(self) -> TecChannel:
+        return kernel.tec_from_row(self._table.rows[self._i])
+
+
+class Descendants(Sequence):
+    """Descendants as arrays: ``rows`` (N, 5), their ``entropy``, ``edge_mass``
+    and ``inertia``, and ``path_chars``, uint8 (N, depth) of ``s``/``p``.
+    As a sequence it holds DescendantRecord views."""
+
+    def __init__(self, rows: np.ndarray, path_chars: np.ndarray):
+        self.rows, self.path_chars = rows, path_chars
+        self.entropy = kernel.entropy_array(rows)
+        self.edge_mass = kernel.edge_mass_array(rows)
+        self.inertia = kernel.inertia_array(rows)
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def __getitem__(self, i: int) -> DescendantRecord:
+        return DescendantRecord(self, range(len(self))[operator.index(i)])
+
+    def __iter__(self):
+        return map(DescendantRecord, repeat(self), range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Descendants):
+            return NotImplemented
+        same_paths = np.array_equal(self.path_chars, other.path_chars)
+        return same_paths and np.array_equal(self.rows, other.rows)
+
+    def paths(self) -> list[str]:
+        """Every path string, decoded at once."""
+        n, depth = self.path_chars.shape
+        if depth == 0:
+            return [""] * n
+        rows = np.ascontiguousarray(self.path_chars).view(f"S{depth}")
+        return rows.ravel().astype(f"U{depth}").tolist()
 
 
 @dataclass(frozen=True)
@@ -50,11 +107,12 @@ class GenerationStats:
 
 
 def _evolve_array(gen: np.ndarray, kind: KernelKind) -> np.ndarray:
+    """The next generation, column-major: the children of row i at 2i and 2i + 1."""
     serial, parallel = _CHILD_FNS[kind](gen)
-    out = np.empty((2 * gen.shape[0], 5))
-    out[0::2] = serial
-    out[1::2] = parallel
-    return out
+    out = np.empty((5, 2 * gen.shape[0]))
+    out[:, 0::2] = serial.T
+    out[:, 1::2] = parallel.T
+    return out.T
 
 
 def _check_depth(depth: int) -> None:
@@ -66,31 +124,19 @@ def _check_depth(depth: int) -> None:
         )
 
 
-def _path_string(index: int, depth: int) -> str:
-    return "".join("p" if (index >> (depth - 1 - k)) & 1 else "s" for k in range(depth))
-
-
-def _records(paths, gen: np.ndarray) -> list[DescendantRecord]:
-    h = kernel.entropy_array(gen)
-    e = kernel.edge_mass_array(gen)
-    a = kernel.inertia_array(gen)
-    return [
-        DescendantRecord(path, kernel.tec_from_row(gen[i]), h[i], e[i], a[i])
-        for i, path in enumerate(paths)
-    ]
-
-
 def enumerate_descendants(
     root: TecChannel,
     depth: int,
     kind: KernelKind = KernelKind.QUATERNARY_TWIST,
-) -> list[DescendantRecord]:
+) -> Descendants:
     """All 2**depth descendants, in lexicographic path order (s < p)."""
     _check_depth(depth)
     gen = np.array([root.as_tuple()], dtype=float)
     for _ in range(depth):
         gen = _evolve_array(gen, kind)
-    return _records((_path_string(i, depth) for i in range(gen.shape[0])), gen)
+    # np.indices lists the step choices (0 serial, 1 parallel) of every leaf in order
+    choices = np.indices((2,) * depth, dtype=np.uint8).reshape(depth, gen.shape[0]).T
+    return Descendants(gen, _STEP_CHARS[choices])
 
 
 def psi_expectation_series(
@@ -130,25 +176,24 @@ def sample_paths(
     count: int,
     seed: int,
     kind: KernelKind = KernelKind.QUATERNARY_TWIST,
-) -> list[DescendantRecord]:
+) -> Descendants:
     """``count`` independent uniform paths; deterministic for a fixed seed."""
     if count < 1:
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng(seed)
     choices = rng.integers(0, 2, size=(count, depth)) if depth else np.zeros((count, 0), int)
     gen = np.tile(np.array(root.as_tuple()), (count, 1))
-    child_fn = _CHILD_FNS[kind]
     for k in range(depth):
-        serial, parallel = child_fn(gen)
-        take_parallel = choices[:, k] == 1
-        gen = np.where(take_parallel[:, None], parallel, serial)
-    return _records(("".join("p" if b else "s" for b in row) for row in choices), gen)
+        serial, parallel = _CHILD_FNS[kind](gen)
+        gen = np.where(choices[:, k] == 1, parallel.T, serial.T).T
+    return Descendants(gen, _STEP_CHARS[choices])
 
 
-def write_scatter_csv(records: Sequence[DescendantRecord], fh) -> None:
+def write_scatter_csv(table: Descendants, fh) -> None:
     fh.write("path,H,E,A\n")
-    for rec in records:
-        fh.write(f"{rec.path},{rec.entropy:.6g},{rec.edge_mass:.6g},{rec.inertia:.6g}\n")
+    hea = (table.entropy.tolist(), table.edge_mass.tolist(), table.inertia.tolist())
+    for path, h, e, a in zip(table.paths(), *hea):
+        fh.write(f"{path},{h:.6g},{e:.6g},{a:.6g}\n")
 
 
 def write_series_csv(stats: Sequence[GenerationStats], fh) -> None:

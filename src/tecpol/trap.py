@@ -100,69 +100,3 @@ def compute_trap_bounds(
     inner = iterate_bound("inner", nodes, tol, max_iters)
     outer = iterate_bound("outer", nodes, tol, max_iters)
     return TrapBounds(inner.curve, outer.curve, inner.iterations, outer.iterations, tol)
-
-
-def fixed_point_residual(curve: LinearSpline, mode: Literal["inner", "outer"]) -> float:
-    """Sup-norm defect of the curve under one more iteration."""
-    grid = curve.nodes
-    nxt = _iterate_once(grid, curve.values, mode)
-    return float(np.max(np.abs(nxt - curve.values)))
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    side: str
-    samples: int
-    worst_margin: float
-    witness: tuple[float, float]
-    passed: bool
-
-
-def invariance_check(
-    curve,
-    side: Literal["above", "below"],
-    samples: int = 100_000,
-    seed: int = 0,
-    tol_margin: float = 1e-9,
-) -> InvarianceReport:
-    """Sample balanced points on the claimed-invariant side of ``curve`` and
-    test that both children stay on that side.
-
-    ``curve`` may be a LinearSpline or any callable on arrays.  A quarter of
-    the samples are placed within 1e-3 of the curve, where violations would
-    show up first.
-    """
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0.0, 1.0, samples)
-    cap = 2.0 * np.minimum(x, 1.0 - x)
-    c = np.minimum(np.asarray(curve(x), dtype=float), cap)
-    u = rng.uniform(0.0, 1.0, samples)
-    if side == "above":
-        y = c + u * (cap - c)
-    elif side == "below":
-        y = u * c
-    else:
-        raise ValueError(f"side must be 'above' or 'below', got {side!r}")
-    stratum = slice(0, samples // 4)
-    off = rng.uniform(0.0, 1e-3, samples)[stratum]
-    if side == "above":
-        y[stratum] = np.minimum(c[stratum] + off, cap[stratum])
-    else:
-        y[stratum] = np.maximum(c[stratum] - off, 0.0)
-
-    h_p, e_p, h_s, e_s = balanced_children(x, y)
-    c_p = np.asarray(curve(h_p), dtype=float)
-    c_s = np.asarray(curve(h_s), dtype=float)
-    if side == "above":
-        margins = np.minimum(e_p - c_p, e_s - c_s)
-    else:
-        margins = np.minimum(c_p - e_p, c_s - e_s)
-    worst = int(np.argmin(margins))
-    worst_margin = float(margins[worst])
-    return InvarianceReport(
-        side=side,
-        samples=samples,
-        worst_margin=worst_margin,
-        witness=(float(x[worst]), float(y[worst])),
-        passed=worst_margin >= -tol_margin,
-    )

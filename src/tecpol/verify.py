@@ -27,7 +27,6 @@ class VerificationReport:
     worst_margin: float
     witness: dict
     passed: bool
-    skipped: int = 0
     note: str = ""
 
     def to_dict(self) -> dict:
@@ -37,7 +36,6 @@ class VerificationReport:
             "worst_margin": self.worst_margin,
             "witness": self.witness,
             "pass": self.passed,
-            "skipped": self.skipped,
             "note": self.note,
         }
 

@@ -141,3 +141,92 @@ def test_scatter_csv_format(bec55, tmp_path):
     assert lines[0] == "path,H,E,A"
     assert len(lines) == 5
     assert lines[1].startswith("ss,")
+
+
+# --- the Descendants table -------------------------------------------------
+
+
+def _index_path(index, depth):
+    return "".join("p" if (index >> (depth - 1 - k)) & 1 else "s" for k in range(depth))
+
+
+def test_enumerated_paths_match_per_index_decode(bec55):
+    for depth in range(11):
+        table = process.enumerate_descendants(bec55, depth)
+        want = [_index_path(i, depth) for i in range(2**depth)]
+        assert table.paths() == want
+        assert [rec.path for rec in table] == want
+
+
+@pytest.mark.parametrize("depth", [0, 40])
+def test_sampled_paths_match_the_seeded_choices(bec55, depth):
+    count, seed = 500, 9
+    table = process.sample_paths(bec55, depth, count, seed)
+    choices = np.random.default_rng(seed).integers(0, 2, size=(count, depth))
+    want = ["".join("p" if b else "s" for b in row) for row in choices]
+    assert table.paths() == want
+    assert [rec.path for rec in table] == want
+
+
+def test_table_is_a_sequence_of_record_views(bec55):
+    table = process.enumerate_descendants(bec55, 3)
+    assert len(table) == 8
+    assert table[-1].path == "ppp" and table[-8].path == "sss"
+    for i in (8, -9):
+        with pytest.raises(IndexError):
+            table[i]
+    records = list(table)
+    assert [r.path for r in records] == table.paths()
+    assert table[-3].path == records[5].path == "psp"
+    with pytest.raises(TypeError):
+        table[1:3]
+    rec = table[2]
+    assert type(rec.entropy) is np.float64 and rec.entropy == table.entropy[2]
+    assert rec.edge_mass == table.edge_mass[2] and rec.inertia == table.inertia[2]
+    assert rec.channel == kernel.tec_from_row(table.rows[2])
+
+
+def test_tables_compare_by_contents(bec55):
+    a = process.sample_paths(bec55, 6, 40, seed=1)
+    assert a == process.sample_paths(bec55, 6, 40, seed=1)
+    assert a != process.sample_paths(bec55, 6, 40, seed=2)
+    assert a != process.sample_paths(bec55, 6, 41, seed=1)
+    assert a != list(a)
+    assert process.enumerate_descendants(bec55, 4) != process.enumerate_descendants(
+        bec55, 4, BASE
+    )
+
+
+def test_scatter_csv_matches_per_record_reference(bec55):
+    import io
+
+    # the leaves from the scalar kernel, in s < p order
+    leaves = [("", bec55)]
+    for _ in range(10):
+        nxt = []
+        for path, w in leaves:
+            pair = kernel.twisted_children(w)
+            nxt += [(path + "s", pair.serial), (path + "p", pair.parallel)]
+        leaves = nxt
+    want = ["path,H,E,A\n"]
+    for path, w in leaves:
+        f = functionals(w)
+        want.append(f"{path},{f.entropy:.6g},{f.edge_mass:.6g},{f.inertia:.6g}\n")
+    buf = io.StringIO()
+    process.write_scatter_csv(process.enumerate_descendants(bec55, 10), buf)
+    assert buf.getvalue() == "".join(want)
+
+
+def test_array_maps_ignore_memory_order(rng):
+    c_rows = kernel.sample_tecs(rng, 1000)
+    f_rows = np.asfortranarray(c_rows)
+    others = kernel.sample_tecs(rng, 1000)
+    assert c_rows.flags.c_contiguous and f_rows.flags.f_contiguous
+    for fn in (kernel.children_arrays, kernel.untwisted_children_arrays):
+        for got, want in zip(fn(f_rows), fn(c_rows)):
+            assert np.array_equal(got, want)
+    pairs = zip(kernel.combine_arrays(f_rows, others), kernel.combine_arrays(c_rows, others))
+    for got, want in pairs:
+        assert np.array_equal(got, want)
+    for fn in (kernel.entropy_array, kernel.edge_mass_array, kernel.inertia_array):
+        assert np.array_equal(fn(f_rows), fn(c_rows))
