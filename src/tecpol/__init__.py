@@ -5,54 +5,4 @@ descendant-tree simulation, spline trap bounds, and power-iteration scaling
 exponent certificates.
 """
 
-from .channel import (
-    BalancedPoint,
-    ChannelFunctionals,
-    EDGE_HEAVY_THRESHOLD,
-    TecChannel,
-    dual,
-    from_balanced,
-    from_bec_pair,
-    from_qary_erasure,
-    functionals,
-    new_tec,
-    rotate,
-)
-from .kernel import (
-    ChildPair,
-    balanced_child_maps,
-    bec_children,
-    brute_force_combine,
-    children_inertia_closed_form,
-    parallel_combine,
-    serial_combine,
-    twisted_children,
-    untwisted_children,
-)
-from .spline import LinearSpline
-
-__all__ = [
-    "BalancedPoint",
-    "ChannelFunctionals",
-    "ChildPair",
-    "EDGE_HEAVY_THRESHOLD",
-    "LinearSpline",
-    "TecChannel",
-    "balanced_child_maps",
-    "bec_children",
-    "brute_force_combine",
-    "children_inertia_closed_form",
-    "dual",
-    "from_balanced",
-    "from_bec_pair",
-    "from_qary_erasure",
-    "functionals",
-    "new_tec",
-    "parallel_combine",
-    "rotate",
-    "serial_combine",
-    "twisted_children",
-    "untwisted_children",
-]
-
 __version__ = "0.1.0"

@@ -42,14 +42,6 @@ class TecChannel:
 
 
 @dataclass(frozen=True)
-class BalancedPoint:
-    """(entropy, edge mass) coordinates of a balanced channel."""
-
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
 class ChannelFunctionals:
     """Snapshot of the four channel functionals.
 
@@ -123,12 +115,17 @@ def require_balanced(x, y) -> None:
         )
 
 
-def from_balanced(point: BalancedPoint) -> TecChannel:
-    """The unique balanced channel with entropy x and edge mass y."""
-    x, y = point.x, point.y
-    require_balanced(x, y)
+def balanced_tuple(x, y):
+    """(p, q, r, s, t) of the balanced channel with entropy x and edge mass y,
+    floats or arrays; the caller vouches for feasibility."""
     e3 = y / 3.0
-    return TecChannel(max(1.0 - x - y / 2.0, 0.0), e3, e3, e3, max(x - y / 2.0, 0.0))
+    return np.maximum(1.0 - x - y / 2.0, 0.0), e3, e3, e3, np.maximum(x - y / 2.0, 0.0)
+
+
+def from_balanced(x: float, y: float) -> TecChannel:
+    """The unique balanced channel with entropy x and edge mass y."""
+    require_balanced(x, y)
+    return TecChannel(*(float(v) for v in balanced_tuple(x, y)))
 
 
 # H, E and A of a five-tuple (p, q, r, s, t) of floats or of array columns;

@@ -122,7 +122,8 @@ def _cmd_eigen(args) -> int:
     else:
         if not args.curve_file:
             raise ValueError("--curve-file is required with --map curve")
-        child_map = eigen.twist_on_curve(spline.read_spline(args.curve_file))
+        with open(args.curve_file) as fh:
+            child_map = eigen.twist_on_curve(spline.read_spline(fh))
     result = eigen.power_iterate(
         child_map, args.psi_exponent, args.nodes, args.tol, args.max_iters
     )
@@ -136,7 +137,8 @@ def _cmd_eigen(args) -> int:
     with _output(args.out) as fh:
         fh.write(json.dumps(payload) + "\n")
     if args.eigenfunction_out:
-        spline.write_spline(result.eigenfunction, args.eigenfunction_out)
+        with _output(args.eigenfunction_out) as fh:
+            spline.write_spline(result.eigenfunction, fh)
     return 0
 
 
@@ -152,14 +154,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
-    bounds = trap.compute_trap_bounds(args.nodes, args.tol, args.max_iters)
     grid = np.linspace(0.0, 1.0, args.plot_points)
+    phi = trap.iterate_bound("inner", args.nodes, args.tol, args.max_iters).curve(grid)
+    chi = trap.iterate_bound("outer", args.nodes, args.tol, args.max_iters).curve(grid)
     with open(f"{args.out_prefix}_curves.csv", "w") as fh:
         fh.write("x,outer_parabola,outer_numeric,inner_numeric,alpha_parabola\n")
         outer_p = trap.analytic_curve("outer_parabola", grid)
         alpha_p = trap.analytic_curve("alpha_parabola", grid)
-        chi = bounds.outer(grid)
-        phi = bounds.inner(grid)
         for i, x in enumerate(grid):
             fh.write(
                 f"{x:.6g},{outer_p[i]:.6g},{chi[i]:.6g},{phi[i]:.6g},{alpha_p[i]:.6g}\n"

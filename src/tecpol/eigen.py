@@ -120,6 +120,10 @@ def power_iterate(
     """
     if nodes < 1000:
         raise ValueError("need at least 1000 nodes")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     grid = np.linspace(0.0, 1.0, nodes)
     hs, hp = child_map(grid)
     hs = np.clip(hs, 0.0, 1.0)

@@ -15,8 +15,7 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .channel import BalancedPoint, TecChannel, require_balanced, rotate
-from .channel import edge_mass_of, entropy_of, inertia_of
+from .channel import TecChannel, edge_mass_of, entropy_of, inertia_of, rotate
 from .errors import OutOfRange
 
 
@@ -81,28 +80,6 @@ def balanced_children(x, y):
     h_s = 2.0 * x - x * x + y2 / 12.0
     e_s = 2.0 * y - 2.0 * x * y - 2.0 * y2 / 3.0
     return h_p, e_p, h_s, e_s
-
-
-def balanced_child_maps(point: BalancedPoint) -> tuple[float, float, float, float]:
-    """(h_p, e_p, h_s, e_s) of the children of the balanced channel at (x, y)."""
-    require_balanced(point.x, point.y)
-    return balanced_children(point.x, point.y)
-
-
-def children_inertia_closed_form(w: TecChannel) -> tuple[float, float]:
-    """Inertia of both twisted children without constructing them."""
-    p, q, r, s, t = w.as_tuple()
-    a_s = (
-        (q - r) ** 2 * (s + p) ** 2
-        + (r - s) ** 2 * (q + p) ** 2
-        + (s - q) ** 2 * (r + p) ** 2
-    )
-    a_p = (
-        (q - r) ** 2 * (s + t) ** 2
-        + (r - s) ** 2 * (q + t) ** 2
-        + (s - q) ** 2 * (r + t) ** 2
-    )
-    return (a_s, a_p)
 
 
 # --- brute-force oracle ----------------------------------------------------

@@ -8,7 +8,7 @@ rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TextIO, Union
+from typing import TextIO
 
 import numpy as np
 
@@ -76,21 +76,14 @@ def compose_through_inverse(
     return np.interp(grid, cleaned[keep], e_vals[keep])
 
 
-def write_spline(f: LinearSpline, fh: Union[str, TextIO]) -> None:
+def write_spline(f: LinearSpline, fh: TextIO) -> None:
     """Write the text format: header "x,y", one pair per line."""
-    if isinstance(fh, str):
-        with open(fh, "w") as out:
-            write_spline(f, out)
-        return
     fh.write("x,y\n")
     for x, y in zip(f.nodes, f.values):
         fh.write(f"{float(x)!r},{float(y)!r}\n")
 
 
-def read_spline(fh: Union[str, TextIO]) -> LinearSpline:
-    if isinstance(fh, str):
-        with open(fh) as inp:
-            return read_spline(inp)
+def read_spline(fh: TextIO) -> LinearSpline:
     header = fh.readline().strip()
     if header != "x,y":
         raise ValueError(f"expected header 'x,y', got {header!r}")

@@ -45,15 +45,6 @@ class BoundIteration:
     converged: bool
 
 
-@dataclass(frozen=True)
-class TrapBounds:
-    inner: LinearSpline
-    outer: LinearSpline
-    inner_iters: int
-    outer_iters: int
-    tol: float
-
-
 def _iterate_once(grid: np.ndarray, curve: np.ndarray, mode: str) -> np.ndarray:
     h_p, e_p, h_s, e_s = balanced_children(grid, curve)
     e_pk = compose_through_inverse(h_p, e_p, grid)
@@ -81,8 +72,10 @@ def iterate_bound(
         raise ValueError(f"mode must be 'inner' or 'outer', got {mode!r}")
     if nodes < 100:
         raise ValueError("need at least 100 nodes")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     grid = np.linspace(0.0, 1.0, nodes)
     curve = 2.0 * grid * (1.0 - grid)
     for k in range(1, max_iters + 1):
@@ -92,11 +85,3 @@ def iterate_bound(
         if delta < tol:
             return BoundIteration(LinearSpline(grid, curve), k, True)
     return BoundIteration(LinearSpline(grid, curve), max_iters, False)
-
-
-def compute_trap_bounds(
-    nodes: int = 100_000, tol: float = 1e-6, max_iters: int = 2000
-) -> TrapBounds:
-    inner = iterate_bound("inner", nodes, tol, max_iters)
-    outer = iterate_bound("outer", nodes, tol, max_iters)
-    return TrapBounds(inner.curve, outer.curve, inner.iterations, outer.iterations, tol)

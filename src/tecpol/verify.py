@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from . import kernel
-from .channel import EDGE_HEAVY_THRESHOLD
+from .channel import EDGE_HEAVY_THRESHOLD, balanced_tuple
 from .errors import UnknownCheck
 from .trap import analytic_curve
 
@@ -68,10 +68,7 @@ def stratified_tecs(rng: np.random.Generator, count: int) -> np.ndarray:
         m = n_special - 5
         x = rng.uniform(0.0, 1.0, m)
         y = rng.uniform(0.0, 1.0, m) * 2.0 * np.minimum(x, 1.0 - x)
-        bal = np.column_stack(
-            [1.0 - x - y / 2.0, y / 3.0, y / 3.0, y / 3.0, x - y / 2.0]
-        )
-        special[5:] = np.clip(bal, 0.0, 1.0)
+        special[5:] = np.column_stack(balanced_tuple(x, y))
     parts.append(special)
     return np.vstack(parts)
 
@@ -108,12 +105,9 @@ def _below_alpha_sample(rng, samples):
     return eps, x, y, b, *_child_quetelet(x, y)
 
 
-def _worst(margins, witness_fn):
-    k = int(np.argmin(margins))
-    return float(margins[k]), witness_fn(k)
-
-
 # --- checks -----------------------------------------------------------------
+# A check returns its margins and a dict of named witness columns, each
+# indexed like the margins; run_check reads the witness at the worst margin.
 
 
 def _stratified(rng, samples, functional):
@@ -125,13 +119,12 @@ def _stratified(rng, samples, functional):
 
 def _check_uniform_a(rng, samples):
     w, a, a_s, a_p = _stratified(rng, samples, kernel.inertia_array)
-    margins = a * (1.0 - a / 3.0) - np.maximum(a_s, a_p)
-    return _worst(margins, lambda k: {"tec": [float(v) for v in w[k]]})
+    return a * (1.0 - a / 3.0) - np.maximum(a_s, a_p), {"tec": w}
 
 
 def _check_average_a(rng, samples):
     w, a, a_s, a_p = _stratified(rng, samples, kernel.inertia_array)
-    return _worst(a - a_s - a_p, lambda k: {"tec": [float(v) for v in w[k]]})
+    return a - a_s - a_p, {"tec": w}
 
 
 def _check_ultimate_a(rng, samples):
@@ -150,15 +143,14 @@ def _check_ultimate_a(rng, samples):
         if scaled[k] > worst_c:
             worst_c = float(scaled[k])
             worst_row = gen[k]
-    return float("inf"), {"fitted_C": worst_c, "tec": [float(v) for v in worst_row]}
+    return np.array([np.inf]), {"fitted_C": np.array([worst_c]), "tec": worst_row[None]}
 
 
 def _check_trap(rng, samples):
     alpha = EDGE_HEAVY_THRESHOLD
     x, y, _b = _balanced_q_sample(rng, samples, alpha, np.inf, near="low")
     q_s, q_p = _child_quetelet(x, y)
-    margins = np.minimum(q_s - alpha, q_p - alpha)
-    return _worst(margins, lambda k: {"x": float(x[k]), "y": float(y[k])})
+    return np.minimum(q_s - alpha, q_p - alpha), {"x": x, "y": y}
 
 
 def _check_inner_q(rng, samples):
@@ -167,9 +159,7 @@ def _check_inner_q(rng, samples):
     margins = np.minimum(
         q_s - b * (1.0 + x * delta), q_p - b * (1.0 + (1.0 - x) * delta)
     )
-    return _worst(
-        margins, lambda k: {"x": float(x[k]), "y": float(y[k]), "eps": float(eps[k])}
-    )
+    return margins, {"x": x, "y": y, "eps": eps}
 
 
 def _check_uniform_q(rng, samples):
@@ -180,17 +170,14 @@ def _check_uniform_q(rng, samples):
     lo = x <= 2.0 / 3.0
     margins[hi] = q_s[hi] - goal[hi]
     margins[lo] = np.minimum(margins[lo], q_p[lo] - goal[lo])
-    return _worst(
-        margins, lambda k: {"x": float(x[k]), "y": float(y[k]), "eps": float(eps[k])}
-    )
+    return margins, {"x": x, "y": y, "eps": eps}
 
 
 def _check_gap_jump(rng, samples):
     x = rng.uniform(2.0 / 3.0, 1.0, samples)
     y = rng.uniform(0.0, 1.0, samples) * 2.0 * (1.0 - x)
     h_p = kernel.balanced_children(x, y)[0]
-    margins = h_p - 11.0 / 27.0
-    return _worst(margins, lambda k: {"x": float(x[k]), "y": float(y[k])})
+    return h_p - 11.0 / 27.0, {"x": x, "y": y}
 
 
 def _check_outer_q(rng, samples):
@@ -206,45 +193,35 @@ def _check_outer_q(rng, samples):
     margins = np.minimum(
         2.0 * h_s * one_minus_hs - e_s, 2.0 * h_p * one_minus_hp - e_p
     )
-    return _worst(margins, lambda k_: {"x": float(x[k_]), "y": float(y[k_])})
-
-
-def _poly_f(x):
-    return analytic_curve("poly_inner", x)
-
-
-def _poly_g(x):
-    return analytic_curve("poly_outer", x)
+    return margins, {"x": x, "y": y}
 
 
 def _check_fg_bounds(rng, samples):
     # invariance of the polynomial trap bounds: the region above f and the
-    # region below g are each closed under taking children
+    # region below g are each closed under taking children.  The first half
+    # of the points lies above f, the rest below g; margins has one row per
+    # side, +inf at the other side's points, so the worst margin's row is its side
     half = samples // 2
     x = rng.uniform(1e-9, 1.0 - 1e-9, samples)
     cap = 2.0 * np.minimum(x, 1.0 - x)
     u = rng.uniform(0.0, 1.0, samples)
-    f_x = _poly_f(x)
-    g_x = _poly_g(x)
+    f_x = analytic_curve("poly_inner", x)
+    g_x = analytic_curve("poly_outer", x)
     y = np.empty(samples)
     y[:half] = f_x[:half] + u[:half] * (cap[:half] - f_x[:half])
     y[half:] = u[half:] * g_x[half:]
     h_p, e_p, h_s, e_s = kernel.balanced_children(x, y)
-    margins = np.empty(samples)
-    margins[:half] = np.minimum(
-        e_p[:half] - _poly_f(h_p[:half]), e_s[:half] - _poly_f(h_s[:half])
+    margins = np.full((2, samples), np.inf)
+    margins[0, :half] = np.minimum(
+        e_p[:half] - analytic_curve("poly_inner", h_p[:half]),
+        e_s[:half] - analytic_curve("poly_inner", h_s[:half]),
     )
-    margins[half:] = np.minimum(
-        _poly_g(h_p[half:]) - e_p[half:], _poly_g(h_s[half:]) - e_s[half:]
+    margins[1, half:] = np.minimum(
+        analytic_curve("poly_outer", h_p[half:]) - e_p[half:],
+        analytic_curve("poly_outer", h_s[half:]) - e_s[half:],
     )
-    return _worst(
-        margins,
-        lambda k: {
-            "x": float(x[k]),
-            "y": float(y[k]),
-            "side": "above_f" if k < half else "below_g",
-        },
-    )
+    columns = {"x": x, "y": y, "side": np.array([["above_f"], ["below_g"]])}
+    return margins, {k: np.broadcast_to(c, margins.shape) for k, c in columns.items()}
 
 
 def _check_oracle(rng, samples):
@@ -252,21 +229,21 @@ def _check_oracle(rng, samples):
     us = kernel.sample_tecs(rng, count)
     vs = kernel.sample_tecs(rng, count)
     pairs = zip(kernel.combine_arrays(us, vs), kernel.brute_force_arrays(us, vs))
-    # worst gap per (pair, mode); the row-major argmax takes the first pair,
-    # and serial before parallel, among equal gaps
+    # worst gap per (pair, mode); run_check's row-major argmin takes the first
+    # pair, and serial before parallel, among equal gaps
     diffs = np.column_stack([np.abs(c - o).max(axis=1) for c, o in pairs])
-    i, m = divmod(int(np.argmax(diffs)), 2)
-    worst = float(diffs[i, m])
-    if worst == 0.0:
-        return -worst, {}
-    mode = ("serial", "parallel")[m]
-    return -worst, {"u": [float(v) for v in us[i]], "v": [float(v) for v in vs[i]], "mode": mode}
+    if not diffs.any():
+        return -diffs, {}
+    return -diffs, {
+        "u": np.broadcast_to(us[:, None], (count, 2, 5)),
+        "v": np.broadcast_to(vs[:, None], (count, 2, 5)),
+        "mode": np.broadcast_to(np.array(["serial", "parallel"]), (count, 2)),
+    }
 
 
 def _check_conservation(rng, samples):
     w, h, h_s, h_p = _stratified(rng, samples, kernel.entropy_array)
-    defect = np.abs(h_s + h_p - 2.0 * h)
-    return _worst(-defect, lambda k: {"tec": [float(v) for v in w[k]]})
+    return -np.abs(h_s + h_p - 2.0 * h), {"tec": w}
 
 
 _CHECKS: dict[str, Callable] = {
@@ -296,7 +273,10 @@ def run_check(check_id: str, samples: int = 100_000, seed: int = 0) -> Verificat
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
-    worst, witness = _CHECKS[check_id](rng, samples)
+    margins, columns = _CHECKS[check_id](rng, samples)
+    k = np.unravel_index(np.argmin(margins), margins.shape)
+    worst = float(margins[k])
+    witness = {name: col[k].tolist() for name, col in columns.items()}
     note = "descriptive only; not asserted" if check_id == "ultimate-A" else ""
     return VerificationReport(
         check_id=check_id,

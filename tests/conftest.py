@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,14 @@ def bec55():
 
 @pytest.fixture(scope="session")
 def trap_bounds():
-    """High-resolution trap bounds, shared by trap/eigen/acceptance tests."""
-    return trap.compute_trap_bounds(nodes=100_000, tol=1e-6)
+    """High-resolution trap bounds, shared by trap/eigen/acceptance tests:
+    the inner and outer curves, and the tolerance they were iterated to."""
+    tol = 1e-6
+    return SimpleNamespace(
+        inner=trap.iterate_bound("inner", nodes=100_000, tol=tol).curve,
+        outer=trap.iterate_bound("outer", nodes=100_000, tol=tol).curve,
+        tol=tol,
+    )
 
 
 @pytest.fixture()

@@ -146,18 +146,19 @@ def test_criterion_06_alpha_parabola_bound():
 
 def test_criterion_07_trap_fixed_points():
     start = time.perf_counter()
-    bounds = trap.compute_trap_bounds(nodes=100_000, tol=1e-6)
+    inner = trap.iterate_bound("inner", nodes=100_000, tol=1e-6).curve
+    outer = trap.iterate_bound("outer", nodes=100_000, tol=1e-6).curve
     elapsed = time.perf_counter() - start
     checks = [
-        abs(bounds.inner(0.5) - 0.3930) <= 0.002,
-        abs(bounds.inner(0.25) - 0.2997) <= 0.002,
-        abs(bounds.outer(0.5) - 0.4439) <= 0.002,
-        abs(bounds.outer(0.25) - 0.3492) <= 0.002,
+        abs(inner(0.5) - 0.3930) <= 0.002,
+        abs(inner(0.25) - 0.2997) <= 0.002,
+        abs(outer(0.5) - 0.4439) <= 0.002,
+        abs(outer(0.25) - 0.3492) <= 0.002,
     ]
     _report(
         "07 trap-fixed-points",
         all(checks) and elapsed < 600.0,
-        f"phi(0.5)={bounds.inner(0.5):.5f}, chi(0.5)={bounds.outer(0.5):.5f}, "
+        f"phi(0.5)={inner(0.5):.5f}, chi(0.5)={outer(0.5):.5f}, "
         f"{elapsed:.1f}s",
     )
 

@@ -79,13 +79,13 @@ def test_from_bec_pair_frozen_values():
 
 
 def test_from_balanced():
-    w = channel.from_balanced(channel.BalancedPoint(0.5, 0.0))
+    w = channel.from_balanced(0.5, 0.0)
     assert w.as_tuple() == (0.5, 0, 0, 0, 0.5)
-    w = channel.from_balanced(channel.BalancedPoint(0.5, 0.3))
+    w = channel.from_balanced(0.5, 0.3)
     want = (0.35, 0.1, 0.1, 0.1, 0.35)
     assert all(abs(a - b) <= TOL for a, b in zip(w.as_tuple(), want))
     with pytest.raises(InfeasiblePoint):
-        channel.from_balanced(channel.BalancedPoint(0.1, 0.5))
+        channel.from_balanced(0.1, 0.5)
 
 
 def test_functionals_worked_example():
@@ -152,7 +152,7 @@ def test_dual_functionals(comps):
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 def test_balanced_round_trip(x, u):
     y = u * 2.0 * min(x, 1.0 - x)
-    w = channel.from_balanced(channel.BalancedPoint(x, y))
+    w = channel.from_balanced(x, y)
     f = channel.functionals(w)
     assert f.entropy == pytest.approx(x, abs=1e-12)
     assert f.edge_mass == pytest.approx(y, abs=1e-12)

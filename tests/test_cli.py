@@ -163,6 +163,23 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["trap", "--mode", "inner", "--max-iters", "0"], "max_iters"),
+        (["trap", "--mode", "inner", "--max-iters", "-5"], "max_iters"),
+        (["eigen", "power", "--tol", "0"], "tol"),
+        (["eigen", "power", "--max-iters", "0"], "max_iters"),
+    ],
+    ids=["trap-max-iters-0", "trap-max-iters-negative", "eigen-tol-0", "eigen-max-iters-0"],
+)
+def test_solver_argument_errors_exit_2(tmp_path, capsys, argv, name):
+    out = tmp_path / "out.csv"
+    assert cli.run(argv + ["--out", str(out)]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_check_exit_code(capsys):
     assert cli.run(["verify", "bogus"]) == 2
     capsys.readouterr()

@@ -107,6 +107,20 @@ def test_lambda_insensitive_to_psi_floor():
     assert max(lams) - min(lams) <= 1e-4
 
 
+def test_power_iterate_validates_arguments():
+    def never_called(x):
+        raise AssertionError("arguments are checked before the child map runs")
+
+    with pytest.raises(ValueError, match="nodes"):
+        eigen.power_iterate(never_called, nodes=10)
+    for tol in (0.0, -1e-9, float("nan")):
+        with pytest.raises(ValueError, match="tol"):
+            eigen.power_iterate(never_called, tol=tol)
+    for max_iters in (0, -5):
+        with pytest.raises(ValueError, match="max_iters"):
+            eigen.power_iterate(never_called, max_iters=max_iters)
+
+
 def test_power_iterate_on_numerical_inner_bound(trap_bounds):
     res = eigen.power_iterate(eigen.twist_on_curve(trap_bounds.inner), nodes=20_000)
     assert res.mu <= 3.328 + 0.01

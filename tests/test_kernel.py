@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tecpol import channel, kernel
-from tecpol.channel import BalancedPoint, dual, from_balanced, from_bec_pair, functionals, new_tec, rotate
+from tecpol.channel import dual, from_balanced, from_bec_pair, functionals, new_tec, rotate
 
 TOL = 1e-12
 
@@ -69,15 +69,15 @@ def test_twisted_children_entropies_bec55():
 
 
 def test_balanced_children_stay_balanced():
-    w = from_balanced(BalancedPoint(0.4, 0.3))
+    w = from_balanced(0.4, 0.3)
     pair = kernel.twisted_children(w)
     assert functionals(pair.serial).inertia == pytest.approx(0.0, abs=TOL)
     assert functionals(pair.parallel).inertia == pytest.approx(0.0, abs=TOL)
 
 
 def test_balanced_child_maps_examples():
-    assert kernel.balanced_child_maps(BalancedPoint(0.5, 0.0)) == (0.25, 0.0, 0.75, 0.0)
-    h_p, e_p, h_s, e_s = kernel.balanced_child_maps(BalancedPoint(0.5, 0.3))
+    assert kernel.balanced_children(0.5, 0.0) == (0.25, 0.0, 0.75, 0.0)
+    h_p, e_p, h_s, e_s = kernel.balanced_children(0.5, 0.3)
     assert h_p == pytest.approx(0.2425, abs=TOL)
     assert e_p == pytest.approx(0.24, abs=TOL)
     assert h_s == pytest.approx(0.7575, abs=TOL)
@@ -88,8 +88,8 @@ def test_balanced_child_maps_match_actual_children(rng):
     for _ in range(200):
         x = rng.uniform(0, 1)
         y = rng.uniform(0, 1) * 2 * min(x, 1 - x)
-        h_p, e_p, h_s, e_s = kernel.balanced_child_maps(BalancedPoint(x, y))
-        pair = kernel.twisted_children(from_balanced(BalancedPoint(x, y)))
+        h_p, e_p, h_s, e_s = kernel.balanced_children(x, y)
+        pair = kernel.twisted_children(from_balanced(x, y))
         fs, fp = functionals(pair.serial), functionals(pair.parallel)
         assert fp.entropy == pytest.approx(h_p, abs=TOL)
         assert fp.edge_mass == pytest.approx(e_p, abs=TOL)
@@ -98,10 +98,26 @@ def test_balanced_child_maps_match_actual_children(rng):
         assert h_p + h_s == pytest.approx(2 * x, abs=TOL)
 
 
+def children_inertia_closed_form(w):
+    """Inertia of both twisted children without constructing them."""
+    p, q, r, s, t = w.as_tuple()
+    a_s = (
+        (q - r) ** 2 * (s + p) ** 2
+        + (r - s) ** 2 * (q + p) ** 2
+        + (s - q) ** 2 * (r + p) ** 2
+    )
+    a_p = (
+        (q - r) ** 2 * (s + t) ** 2
+        + (r - s) ** 2 * (q + t) ** 2
+        + (s - q) ** 2 * (r + t) ** 2
+    )
+    return (a_s, a_p)
+
+
 def test_children_inertia_closed_form(rng):
     for row in kernel.sample_tecs(rng, 500):
         w = kernel.tec_from_row(row)
-        a_s, a_p = kernel.children_inertia_closed_form(w)
+        a_s, a_p = children_inertia_closed_form(w)
         pair = kernel.twisted_children(w)
         assert functionals(pair.serial).inertia == pytest.approx(a_s, abs=TOL)
         assert functionals(pair.parallel).inertia == pytest.approx(a_p, abs=TOL)
@@ -197,7 +213,7 @@ def test_entropy_conservation_and_ordering(comps):
 def test_uniform_inertia_loss(comps):
     w = new_tec(*comps)
     a = functionals(w).inertia
-    a_s, a_p = kernel.children_inertia_closed_form(w)
+    a_s, a_p = children_inertia_closed_form(w)
     bound = a * (1 - a / 3)
     assert a_s <= bound + TOL
     assert a_p <= bound + TOL
@@ -228,3 +244,9 @@ def test_array_helpers_agree_with_scalar_path(rng):
         assert kernel.entropy_array(rows)[i] == f.entropy
         assert kernel.edge_mass_array(rows)[i] == f.edge_mass
         assert kernel.inertia_array(rows)[i] == f.inertia
+    # the balanced five-tuple: one formula for arrays and for from_balanced
+    x = rng.uniform(0.0, 1.0, 100)
+    y = rng.uniform(0.0, 1.0, 100) * 2.0 * np.minimum(x, 1.0 - x)
+    balanced = np.column_stack(channel.balanced_tuple(x, y))
+    for i in range(100):
+        assert tuple(balanced[i]) == from_balanced(x[i], y[i]).as_tuple()

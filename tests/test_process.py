@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tecpol import kernel, process
-from tecpol.channel import from_bec_pair, from_balanced, BalancedPoint, functionals, new_tec
+from tecpol.channel import from_bec_pair, from_balanced, functionals, new_tec
 from tecpol.errors import DegenerateRoot, DepthTooLarge
 from tecpol.process import KernelKind
 
@@ -92,7 +92,7 @@ def test_inertia_series_average_decay(bec55):
 
 
 def test_inertia_series_balanced_root_is_zero():
-    root = from_balanced(BalancedPoint(0.5, 0.3))
+    root = from_balanced(0.5, 0.3)
     series = process.psi_expectation_series(root, 6)
     assert all(st.mean_inertia == pytest.approx(0.0, abs=1e-12) for st in series)
 

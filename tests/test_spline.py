@@ -89,9 +89,11 @@ def test_compose_through_inverse_linear_case():
 
 def test_file_round_trip(tmp_path):
     f = LinearSpline(np.linspace(0, 1, 7), np.linspace(0, 1, 7) ** 2)
-    path = str(tmp_path / "curve.csv")
-    spline.write_spline(f, path)
-    g = spline.read_spline(path)
+    path = tmp_path / "curve.csv"
+    with open(path, "w") as fh:
+        spline.write_spline(f, fh)
+    with open(path) as fh:
+        g = spline.read_spline(fh)
     np.testing.assert_array_equal(g.nodes, f.nodes)
     np.testing.assert_array_equal(g.values, f.values)
 

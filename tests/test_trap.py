@@ -172,6 +172,11 @@ def test_iterate_bound_validates_arguments():
         trap.iterate_bound("inner", nodes=10)
     with pytest.raises(ValueError):
         trap.iterate_bound("inner", tol=0.0)
+    with pytest.raises(ValueError, match="tol"):
+        trap.iterate_bound("inner", tol=float("nan"))
+    for max_iters in (0, -5):
+        with pytest.raises(ValueError, match="max_iters"):
+            trap.iterate_bound("inner", max_iters=max_iters)
 
 
 def test_small_grid_converges_close_to_reference():

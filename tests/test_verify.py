@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from tecpol import verify
@@ -38,11 +39,55 @@ def test_bad_sample_count():
         verify.run_check("trap", 0, 0)
 
 
-def test_report_json_round_trip():
-    report = verify.run_check("conservation", samples=1000, seed=0)
-    payload = json.loads(json.dumps(report.to_dict()))
-    assert payload["id"] == "conservation"
+WITNESS_KEYS = {
+    "uniform-A": {"tec"},
+    "average-A": {"tec"},
+    "ultimate-A": {"fitted_C", "tec"},
+    "trap": {"x", "y"},
+    "inner-Q": {"x", "y", "eps"},
+    "uniform-Q": {"x", "y", "eps"},
+    "gap-jump": {"x", "y"},
+    "outer-Q": {"x", "y"},
+    "fg-bounds": {"x", "y", "side"},
+    "oracle": {"u", "v", "mode"},
+    "conservation": {"tec"},
+}
+
+
+def _plain(value):
+    if isinstance(value, list):
+        return all(type(v) is float for v in value)
+    return type(value) in (float, str)
+
+
+@pytest.mark.parametrize("check_id", verify.CHECK_IDS)
+def test_report_json_round_trip(check_id):
+    report = verify.run_check(check_id, samples=1000, seed=0)
+    d = report.to_dict()
+    payload = json.loads(json.dumps(d))
+    assert payload == d
+    assert payload["id"] == check_id
     assert payload["pass"] is True
+    assert set(d["witness"]) == WITNESS_KEYS[check_id]
+    assert all(_plain(v) for v in d["witness"].values()), d["witness"]
+
+
+def test_oracle_witness_on_zero_and_tied_gaps(monkeypatch):
+    # every gap 0: no witness, margin -0.0
+    monkeypatch.setattr(verify.kernel, "brute_force_arrays", verify.kernel.combine_arrays)
+    report = verify.run_check("oracle", samples=50, seed=3)
+    assert report.witness == {}
+    assert report.worst_margin == 0.0 and report.passed
+    # every gap equal: the first pair, serial before parallel
+    ones = lambda u, v: (np.ones_like(u), np.ones_like(u))
+    zeros = lambda u, v: (np.zeros_like(u), np.zeros_like(u))
+    monkeypatch.setattr(verify.kernel, "brute_force_arrays", ones)
+    monkeypatch.setattr(verify.kernel, "combine_arrays", zeros)
+    report = verify.run_check("oracle", samples=50, seed=3)
+    rng = np.random.default_rng(3)
+    us, vs = verify.kernel.sample_tecs(rng, 50), verify.kernel.sample_tecs(rng, 50)
+    assert report.worst_margin == -1.0
+    assert report.witness == {"u": us[0].tolist(), "v": vs[0].tolist(), "mode": "serial"}
 
 
 def test_run_all_covers_every_check():
