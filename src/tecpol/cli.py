@@ -52,6 +52,12 @@ def _print_functionals(w: channel.TecChannel, fh) -> None:
     fh.write(f"edge_heavy = {f.is_edge_heavy}\n")
 
 
+def _given(args, *names) -> dict:
+    """The named solver options given on the command line; the solver's own
+    defaults stand for the rest."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _cmd_show(args) -> int:
     with _output(args.out) as fh:
         _print_functionals(parse_channel_spec(args.channel), fh)
@@ -83,7 +89,7 @@ def _cmd_series(args) -> int:
         parse_channel_spec(args.channel),
         args.depth,
         process.KernelKind(args.kernel),
-        args.psi_exponent,
+        **_given(args, "psi_exponent"),
     )
     with _output(args.out) as fh:
         process.write_series_csv(stats, fh)
@@ -91,7 +97,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_trap(args) -> int:
-    result = trap.iterate_bound(args.mode, args.nodes, args.tol, args.max_iters)
+    result = trap.iterate_bound(args.mode, **_given(args, "nodes", "tol", "max_iters"))
     if not result.converged:
         sys.stderr.write(
             f"warning: {args.mode} bound did not converge in {result.iterations} iterations\n"
@@ -104,7 +110,7 @@ def _cmd_trap(args) -> int:
 
 def _cmd_eigen(args) -> int:
     if args.action == "verify-lemma":
-        max_ratio, argmax_x = eigen.verify_lemma_eigen(args.nodes)
+        max_ratio, argmax_x = eigen.verify_lemma_eigen(**_given(args, "nodes"))
         payload = {
             "max_ratio": max_ratio,
             "argmax_x": argmax_x,
@@ -125,7 +131,7 @@ def _cmd_eigen(args) -> int:
         with open(args.curve_file) as fh:
             child_map = eigen.twist_on_curve(spline.read_spline(fh))
     result = eigen.power_iterate(
-        child_map, args.psi_exponent, args.nodes, args.tol, args.max_iters
+        child_map, **_given(args, "psi_exponent", "nodes", "tol", "max_iters")
     )
     payload = {
         "lambda": result.lam,
@@ -133,6 +139,7 @@ def _cmd_eigen(args) -> int:
         "iterations": result.iterations,
         "residual": result.residual,
         "concave": result.concave,
+        "nodes": len(result.eigenfunction.nodes),
     }
     with _output(args.out) as fh:
         fh.write(json.dumps(payload) + "\n")
@@ -155,8 +162,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_fig2(args) -> int:
     grid = np.linspace(0.0, 1.0, args.plot_points)
-    phi = trap.iterate_bound("inner", args.nodes, args.tol, args.max_iters).curve(grid)
-    chi = trap.iterate_bound("outer", args.nodes, args.tol, args.max_iters).curve(grid)
+    options = _given(args, "nodes", "tol", "max_iters")
+    phi = trap.iterate_bound("inner", **options).curve(grid)
+    chi = trap.iterate_bound("outer", **options).curve(grid)
     with open(f"{args.out_prefix}_curves.csv", "w") as fh:
         fh.write("x,outer_parabola,outer_numeric,inner_numeric,alpha_parabola\n")
         outer_p = trap.analytic_curve("outer_parabola", grid)
@@ -178,11 +186,12 @@ def _cmd_fig2(args) -> int:
 
 def _cmd_fig3(args) -> int:
     root = parse_channel_spec(args.channel)
+    exponent = _given(args, "psi_exponent")
     twist = process.psi_expectation_series(
-        root, args.depth, process.KernelKind.QUATERNARY_TWIST, args.psi_exponent
+        root, args.depth, process.KernelKind.QUATERNARY_TWIST, **exponent
     )
     base = process.psi_expectation_series(
-        root, args.depth, process.KernelKind.UNTWISTED_BASELINE, args.psi_exponent
+        root, args.depth, process.KernelKind.UNTWISTED_BASELINE, **exponent
     )
     with _output(args.out) as fh:
         fh.write("n,twist,untwisted\n")
@@ -221,25 +230,25 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--depth", type=int, default=20)
     p.add_argument("--kernel", choices=("twist", "untwisted"), default="twist")
-    p.add_argument("--psi-exponent", type=float, default=0.7)
+    p.add_argument("--psi-exponent", type=float, default=None)
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("trap", help="iterate a numerical trap bound")
     add_common(p, channel_arg=False)
     p.add_argument("--mode", choices=("inner", "outer"), required=True)
-    p.add_argument("--nodes", type=int, default=100_000)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=2000)
+    p.add_argument("--nodes", type=int, default=None)
+    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--max-iters", type=int, default=None)
     p.set_defaults(func=_cmd_trap)
 
     p = sub.add_parser("eigen", help="eigenvalue certificates")
     p.add_argument("action", choices=("verify-lemma", "power"))
     p.add_argument("--map", choices=("bec", "alpha", "curve"), default="bec")
     p.add_argument("--curve-file", default=None)
-    p.add_argument("--nodes", type=int, default=100_000)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iters", type=int, default=20_000)
-    p.add_argument("--psi-exponent", type=float, default=0.7)
+    p.add_argument("--nodes", type=int, default=None)
+    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--max-iters", type=int, default=None)
+    p.add_argument("--psi-exponent", type=float, default=None)
     p.add_argument("--eigenfunction-out", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_eigen)
@@ -254,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fig2", help="trap curves plus descendant scatter")
     p.add_argument("channel", nargs="?", default="becpair:0.55,0.55")
     p.add_argument("--depth", type=int, default=10)
-    p.add_argument("--nodes", type=int, default=100_000)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=2000)
+    p.add_argument("--nodes", type=int, default=None)
+    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--plot-points", type=int, default=101)
     p.add_argument("--out-prefix", default="fig2")
     p.set_defaults(func=_cmd_fig2)
@@ -264,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fig3", help="slope series for both kernels")
     p.add_argument("channel", nargs="?", default="becpair:0.55,0.55")
     p.add_argument("--depth", type=int, default=20)
-    p.add_argument("--psi-exponent", type=float, default=0.7)
+    p.add_argument("--psi-exponent", type=float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_fig3)
 

@@ -24,6 +24,10 @@ LEMMA_RATIO_BOUND = 0.818
 #: default psi threshold below which ratio nodes are excluded
 PSI_FLOOR = 1e-9
 
+#: how far, relative to psi, a node may sit below its neighbours' chord in a
+#: limit still read as concave; interpolation kinks stay below 1e-6
+CONCAVITY_TOL = 1e-5
+
 
 def twist_on_curve(curve: Callable) -> Callable:
     """x -> (H_serial, H_parallel) for twist-kernel children of balanced
@@ -53,15 +57,15 @@ def lemma_child_entropies(x):
     return 2.0 * x - h_p, h_p
 
 
-def verify_lemma_eigen(grid_size: int = 100_000) -> tuple[float, float]:
+def verify_lemma_eigen(nodes: int = 100_000) -> tuple[float, float]:
     """Max one-step ratio of the closed-form certificate on an interior grid.
 
     Returns (max_ratio, argmax_x); the certificate holds iff the max stays
     strictly below 0.818.
     """
-    if grid_size < 1000:
-        raise ValueError("need at least 1000 grid points")
-    x = np.arange(1, grid_size + 1) / (grid_size + 1.0)
+    if nodes < 1000:
+        raise ValueError("need at least 1000 nodes")
+    x = np.arange(1, nodes + 1) / (nodes + 1.0)
     h_s, h_p = lemma_child_entropies(x)
     ratio = (lemma_psi(h_s) + lemma_psi(h_p)) / (2.0 * lemma_psi(x))
     k = int(np.argmax(ratio))
@@ -91,19 +95,29 @@ def _rayleigh(psi_vals, hs, hp, grid, floor):
     return float(np.max(num[mask] / (2.0 * psi_vals[mask])))
 
 
-def _is_concave(vals: np.ndarray) -> bool:
-    # interpolation kinks perturb second differences by O(dx^2), so the
-    # tolerance scales with the square of the grid spacing
-    dx = 1.0 / (len(vals) - 1)
-    tol = 1e3 * dx * dx
-    second = np.diff(vals, 2)
-    return bool(np.all(second <= tol))
+def _is_concave(grid: np.ndarray, vals: np.ndarray) -> bool:
+    # each node may sit below the chord of its two neighbours by at most
+    # CONCAVITY_TOL of its own value; the chord gap is the slope rise times
+    # h_l h_r / (h_l + h_r), so the test reads the same on every grid
+    h = np.diff(grid)
+    slope_rise = np.diff(np.diff(vals) / h)
+    chord_gap = slope_rise * h[:-1] * h[1:] / (h[:-1] + h[1:])
+    return bool(np.all(chord_gap <= CONCAVITY_TOL * vals[1:-1]))
+
+
+def _graded_grid(nodes: int) -> np.ndarray:
+    """x_k = sin^2(pi k / 2(n - 1)): nodes crowd quadratically towards both
+    endpoints, where psi ~ (x(1-x))^0.7 has unbounded slope."""
+    grid = np.sin(np.linspace(0.0, 0.5 * np.pi, nodes)) ** 2
+    grid[0] = 0.0
+    grid[-1] = 1.0
+    return grid
 
 
 def power_iterate(
     child_map: Callable,
-    psi0_exponent: float = 0.7,
-    nodes: int = 100_000,
+    psi_exponent: float = 0.7,
+    nodes: int = 10_000,
     tol: float = 1e-9,
     max_iters: int = 20_000,
     psi_floor: float = PSI_FLOOR,
@@ -112,23 +126,26 @@ def power_iterate(
     a function x -> (H_serial, H_parallel) such as ``kernel.bec_children`` or
     ``twist_on_curve(curve)``.
 
-    lambda is read off as the worst node-wise Rayleigh ratio of the converged
+    The grid is graded towards both endpoints (``_graded_grid``).  lambda is
+    read off as the worst node-wise Rayleigh ratio of the converged
     iterate (over nodes where psi exceeds ``psi_floor``), which is robust to
     the normalization convention of the recursion itself.  Concavity of the
     limit is checked, not enforced: a non-concave limit invalidates the
     separation argument behind the mu certificate.
     """
+    if not 0.0 < psi_exponent < math.inf:
+        raise ValueError(f"psi_exponent must be positive and finite, got {psi_exponent!r}")
     if nodes < 1000:
         raise ValueError("need at least 1000 nodes")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    grid = np.linspace(0.0, 1.0, nodes)
+    grid = _graded_grid(nodes)
     hs, hp = child_map(grid)
     hs = np.clip(hs, 0.0, 1.0)
     hp = np.clip(hp, 0.0, 1.0)
-    psi = (grid * (1.0 - grid)) ** psi0_exponent
+    psi = (grid * (1.0 - grid)) ** psi_exponent
     psi /= psi.max()
     for k in range(1, max_iters + 1):
         nxt = np.interp(hs, grid, psi) + np.interp(hp, grid, psi)
@@ -143,6 +160,6 @@ def power_iterate(
                 eigenfunction=LinearSpline(grid, psi),
                 iterations=k,
                 residual=delta,
-                concave=_is_concave(psi),
+                concave=_is_concave(grid, psi),
             )
     raise NoConvergence(f"power iteration did not reach tol={tol} in {max_iters} steps")

@@ -150,6 +150,8 @@ def psi_expectation_series(
     psi(x) = (x(1-x))**psi_exponent, the slope diagnostic behind the scaling
     exponent estimates.
     """
+    if not 0.0 < psi_exponent < math.inf:
+        raise ValueError(f"psi_exponent must be positive and finite, got {psi_exponent!r}")
     _check_depth(depth)
     h0 = functionals(root).entropy
     psi0 = (h0 * (1.0 - h0)) ** psi_exponent

@@ -58,7 +58,7 @@ def _iterate_once(grid: np.ndarray, curve: np.ndarray, mode: str) -> np.ndarray:
 
 def iterate_bound(
     mode: Literal["inner", "outer"],
-    nodes: int = 100_000,
+    nodes: int = 10_000,
     tol: float = 1e-6,
     max_iters: int = 2000,
 ) -> BoundIteration:

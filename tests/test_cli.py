@@ -170,8 +170,25 @@ def test_usage_error_exit_code(capsys):
         (["trap", "--mode", "inner", "--max-iters", "-5"], "max_iters"),
         (["eigen", "power", "--tol", "0"], "tol"),
         (["eigen", "power", "--max-iters", "0"], "max_iters"),
+        (["eigen", "power", "--psi-exponent", "-1"], "psi_exponent"),
+        (["eigen", "power", "--psi-exponent", "0"], "psi_exponent"),
+        (["eigen", "power", "--psi-exponent", "nan"], "psi_exponent"),
+        (["series", "becpair:0.55,0.55", "--depth", "4", "--psi-exponent", "-1"], "psi_exponent"),
+        (["series", "becpair:0.55,0.55", "--depth", "4", "--psi-exponent", "nan"], "psi_exponent"),
+        (["fig3", "--depth", "4", "--psi-exponent", "0"], "psi_exponent"),
     ],
-    ids=["trap-max-iters-0", "trap-max-iters-negative", "eigen-tol-0", "eigen-max-iters-0"],
+    ids=[
+        "trap-max-iters-0",
+        "trap-max-iters-negative",
+        "eigen-tol-0",
+        "eigen-max-iters-0",
+        "eigen-psi-exponent-negative",
+        "eigen-psi-exponent-0",
+        "eigen-psi-exponent-nan",
+        "series-psi-exponent-negative",
+        "series-psi-exponent-nan",
+        "fig3-psi-exponent-0",
+    ],
 )
 def test_solver_argument_errors_exit_2(tmp_path, capsys, argv, name):
     out = tmp_path / "out.csv"

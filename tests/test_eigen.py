@@ -1,3 +1,6 @@
+import functools
+import inspect
+
 import numpy as np
 import pytest
 
@@ -119,8 +122,56 @@ def test_power_iterate_validates_arguments():
     for max_iters in (0, -5):
         with pytest.raises(ValueError, match="max_iters"):
             eigen.power_iterate(never_called, max_iters=max_iters)
+    for exponent in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="psi_exponent"):
+            eigen.power_iterate(never_called, psi_exponent=exponent)
 
 
 def test_power_iterate_on_numerical_inner_bound(trap_bounds):
     res = eigen.power_iterate(eigen.twist_on_curve(trap_bounds.inner), nodes=20_000)
     assert res.mu <= 3.328 + 0.01
+
+
+DEFAULT_NODES = inspect.signature(eigen.power_iterate).parameters["nodes"].default
+
+
+@pytest.fixture(scope="module")
+def mu_run(trap_bounds):
+    """(map name, nodes) -> power iteration, run once per pair; phi is the
+    conftest inner bound."""
+    maps = {
+        "bec": kernel.bec_children,
+        "alpha": eigen.twist_on_curve(lambda x: trap.analytic_curve("alpha_parabola", x)),
+        "phi": eigen.twist_on_curve(trap_bounds.inner),
+    }
+
+    @functools.lru_cache(maxsize=None)
+    def run(name, nodes):
+        return eigen.power_iterate(maps[name], nodes=nodes)
+
+    return run
+
+
+@pytest.mark.parametrize("name", ["bec", "phi"])
+def test_mu_grid_converged_at_default_nodes(mu_run, name):
+    assert DEFAULT_NODES == 10_000
+    assert abs(mu_run(name, DEFAULT_NODES).mu - mu_run(name, 100_000).mu) <= 1e-4
+
+
+def test_bec_mu_reads_3_627_at_default_nodes():
+    assert round(eigen.power_iterate(kernel.bec_children).mu, 3) == 3.627
+
+
+@pytest.mark.parametrize("nodes", [1000, 10_000, 100_000])
+@pytest.mark.parametrize("name", ["bec", "alpha", "phi"])
+def test_concave_on_every_grid_size(mu_run, name, nodes):
+    assert mu_run(name, nodes).concave
+
+
+@pytest.mark.parametrize("nodes", [1000, 10_000, 100_000])
+def test_concavity_flags_a_dent_at_every_size(mu_run, nodes):
+    limit = mu_run("bec", nodes).eigenfunction
+    assert eigen._is_concave(limit.nodes, limit.values)
+    dented = limit.values.copy()
+    dented[nodes // 3] *= 1.0 - 1e-4
+    assert not eigen._is_concave(limit.nodes, dented)
