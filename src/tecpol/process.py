@@ -12,7 +12,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -21,6 +21,9 @@ from .channel import TecChannel, functionals
 from .errors import DegenerateRoot, DepthTooLarge
 
 MAX_EXACT_DEPTH = 24
+#: rows of one block of the depth-first psi series; a block and its children
+#: stay in cache
+_BLOCK_ROWS = 1 << 14
 
 
 class KernelKind(enum.Enum):
@@ -115,28 +118,30 @@ def _evolve_array(gen: np.ndarray, kind: KernelKind) -> np.ndarray:
     return out.T
 
 
-def _check_depth(depth: int) -> None:
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    if depth > MAX_EXACT_DEPTH:
-        raise DepthTooLarge(
-            f"depth {depth} exceeds {MAX_EXACT_DEPTH}; use sample_paths instead"
-        )
-
-
 def enumerate_descendants(
     root: TecChannel,
     depth: int,
     kind: KernelKind = KernelKind.QUATERNARY_TWIST,
 ) -> Descendants:
     """All 2**depth descendants, in lexicographic path order (s < p)."""
-    _check_depth(depth)
-    gen = np.array([root.as_tuple()], dtype=float)
-    for _ in range(depth):
-        gen = _evolve_array(gen, kind)
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    if depth > MAX_EXACT_DEPTH:
+        raise DepthTooLarge(
+            f"depth {depth} exceeds {MAX_EXACT_DEPTH}; use sample_paths instead"
+        )
+    gen = _exact_tree(root, depth, kind)
     # np.indices lists the step choices (0 serial, 1 parallel) of every leaf in order
     choices = np.indices((2,) * depth, dtype=np.uint8).reshape(depth, gen.shape[0]).T
     return Descendants(gen, _STEP_CHARS[choices])
+
+
+def _exact_tree(root: TecChannel, depth: int, kind: KernelKind) -> np.ndarray:
+    """Generation ``depth`` of the tree, in path order."""
+    gen = np.array([root.as_tuple()], dtype=float)
+    for _ in range(depth):
+        gen = _evolve_array(gen, kind)
+    return gen
 
 
 def psi_expectation_series(
@@ -148,24 +153,40 @@ def psi_expectation_series(
     """Exact per-generation expectation of psi(H) over the full tree.
 
     psi(x) = (x(1-x))**psi_exponent, the slope diagnostic behind the scaling
-    exponent estimates.
+    exponent estimates.  The tree is walked depth-first in blocks of at most
+    _BLOCK_ROWS rows, so memory stays bounded at any depth; each generation's
+    block sums are added with math.fsum.
     """
     if not 0.0 < psi_exponent < math.inf:
         raise ValueError(f"psi_exponent must be positive and finite, got {psi_exponent!r}")
-    _check_depth(depth)
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     h0 = functionals(root).entropy
     psi0 = (h0 * (1.0 - h0)) ** psi_exponent
     if psi0 <= 0.0:
         raise DegenerateRoot(f"root entropy {h0} is fully polarized")
-    gen = np.array([root.as_tuple()], dtype=float)
+    psi_sums, a_sums = [[] for _ in range(depth)], [[] for _ in range(depth)]
+
+    def descend(gen: np.ndarray, n: int) -> None:
+        """Add the sums of the descendants of ``gen``, of generation n."""
+        while n < depth:
+            gen = _evolve_array(gen, kind)
+            # deep generations can drift past [0, 1] by a few ulps, which
+            # would turn the fractional power into NaN
+            h = np.clip(kernel.entropy_array(gen), 0.0, 1.0)
+            psi_sums[n].append(float(np.sum((h * (1.0 - h)) ** psi_exponent)))
+            a_sums[n].append(float(np.sum(kernel.inertia_array(gen))))
+            n += 1
+            if gen.shape[0] > _BLOCK_ROWS and n < depth:
+                for start in range(0, gen.shape[0], _BLOCK_ROWS):
+                    descend(gen[start : start + _BLOCK_ROWS], n)
+                return
+
+    descend(np.array([root.as_tuple()], dtype=float), 0)
     out = []
     for n in range(1, depth + 1):
-        gen = _evolve_array(gen, kind)
-        # deep generations can drift past [0, 1] by a few ulps, which would
-        # turn the fractional power into NaN
-        h = np.clip(kernel.entropy_array(gen), 0.0, 1.0)
-        mean_psi = float(np.mean((h * (1.0 - h)) ** psi_exponent))
-        mean_a = float(np.mean(kernel.inertia_array(gen)))
+        mean_psi = math.fsum(psi_sums[n - 1]) / 2**n
+        mean_a = math.fsum(a_sums[n - 1]) / 2**n
         out.append(
             GenerationStats(n, mean_psi, -math.log2(mean_psi / psi0), mean_a)
         )
@@ -179,23 +200,30 @@ def sample_paths(
     seed: int,
     kind: KernelKind = KernelKind.QUATERNARY_TWIST,
 ) -> Descendants:
-    """``count`` independent uniform paths; deterministic for a fixed seed."""
+    """``count`` independent uniform paths; deterministic for a fixed seed.
+
+    The first m = min(depth, count.bit_length()) steps of every path are read
+    off the exact tree at depth m, which has at most about 2 * count leaves;
+    only the remaining steps are taken path by path."""
     if count < 1:
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng(seed)
     choices = rng.integers(0, 2, size=(count, depth)) if depth else np.zeros((count, 0), int)
-    gen = np.tile(np.array(root.as_tuple()), (count, 1))
-    for k in range(depth):
+    m = min(depth, operator.index(count).bit_length())
+    # leaf index of the path's first m choices, read as a binary number
+    leaf = choices[:, :m] @ (1 << np.arange(m - 1, -1, -1))
+    gen = _exact_tree(root, m, kind).T[:, leaf].T
+    for k in range(m, depth):
         serial, parallel = _CHILD_FNS[kind](gen)
         gen = np.where(choices[:, k] == 1, parallel.T, serial.T).T
     return Descendants(gen, _STEP_CHARS[choices])
 
 
 def write_scatter_csv(table: Descendants, fh) -> None:
-    fh.write("path,H,E,A\n")
+    """One ``path,H,E,A`` line per row, formatted in one pass and written once."""
     hea = (table.entropy.tolist(), table.edge_mass.tolist(), table.inertia.tolist())
-    for path, h, e, a in zip(table.paths(), *hea):
-        fh.write(f"{path},{h:.6g},{e:.6g},{a:.6g}\n")
+    fields = tuple(chain.from_iterable(zip(table.paths(), *hea)))
+    fh.write("path,H,E,A\n" + "%s,%.6g,%.6g,%.6g\n" * len(table) % fields)
 
 
 def write_series_csv(stats: Sequence[GenerationStats], fh) -> None:

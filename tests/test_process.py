@@ -131,6 +131,85 @@ def test_sample_paths_mean_matches_exact_tree(bec55):
     assert abs(vals.mean() - exact) <= 3 * se
 
 
+# --- references: the breadth-first series and the all-steps sampler ---------
+
+
+def _breadth_first_series(root, depth, kind, psi_exponent=0.7):
+    """(mean psi, mean inertia) per generation, holding whole generations."""
+    gen = np.array([root.as_tuple()], dtype=float)
+    out = []
+    for _ in range(depth):
+        gen = process._evolve_array(gen, kind)
+        h = np.clip(kernel.entropy_array(gen), 0.0, 1.0)
+        mean_psi = float(np.mean((h * (1.0 - h)) ** psi_exponent))
+        out.append((mean_psi, float(np.mean(kernel.inertia_array(gen)))))
+    return out
+
+
+def _all_steps_sample(root, depth, count, seed, kind):
+    """Rows and choices of sampled paths, stepping every row at every depth."""
+    rng = np.random.default_rng(seed)
+    choices = rng.integers(0, 2, size=(count, depth)) if depth else np.zeros((count, 0), int)
+    gen = np.tile(np.array(root.as_tuple()), (count, 1))
+    for k in range(depth):
+        serial, parallel = process._CHILD_FNS[kind](gen)
+        gen = np.where(choices[:, k] == 1, parallel.T, serial.T).T
+    return gen, choices
+
+
+@pytest.mark.parametrize("kind", [TWIST, BASE])
+@pytest.mark.parametrize(
+    "depth,count", [(0, 5), (1, 3), (3, 100), (5, 1000), (12, 50), (40, 1), (40, 20_000)]
+)
+def test_sample_paths_match_the_all_steps_reference(bec55, kind, depth, count):
+    seed = depth + count
+    table = process.sample_paths(bec55, depth, count, seed, kind)
+    rows, choices = _all_steps_sample(bec55, depth, count, seed, kind)
+    assert table.rows.shape == rows.shape
+    assert np.array_equal(table.rows.view(np.uint64), rows.view(np.uint64))
+    assert np.array_equal(table.path_chars, np.frombuffer(b"sp", np.uint8)[choices])
+
+
+@pytest.mark.parametrize("kind", [TWIST, BASE])
+def test_psi_series_matches_the_breadth_first_reference(bec55, kind):
+    depth = 16
+    assert 2**depth > 2 * process._BLOCK_ROWS  # the walk splits generations
+    got = process.psi_expectation_series(bec55, depth, kind)
+    want = _breadth_first_series(bec55, depth, kind)
+    for st, (mean_psi, mean_a) in zip(got, want, strict=True):
+        assert st.mean_psi == pytest.approx(mean_psi, rel=1e-13, abs=0)
+        assert st.mean_inertia == pytest.approx(mean_a, rel=1e-13, abs=0)
+
+
+def test_psi_series_memory_is_bounded(bec55):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        process.psi_expectation_series(bec55, 19)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_psi_series_is_not_capped_by_the_enumeration_depth(bec55, monkeypatch):
+    monkeypatch.setattr(process, "MAX_EXACT_DEPTH", 3)
+    with pytest.raises(DepthTooLarge):
+        process.enumerate_descendants(bec55, 5)
+    assert [st.generation for st in process.psi_expectation_series(bec55, 5)] == [1, 2, 3, 4, 5]
+    with pytest.raises(ValueError):
+        process.psi_expectation_series(bec55, -1)
+
+
+@pytest.mark.parametrize("kind", [TWIST, BASE])
+def test_float_drift_is_bounded_at_depth_18(bec55, kind):
+    table = process.enumerate_descendants(bec55, 18, kind)
+    assert np.abs(table.rows.sum(axis=1) - 1.0).max() <= 1e-12
+    assert table.entropy.min() >= -1e-13
+    assert table.entropy.max() <= 1.0 + 1e-13
+
+
 def test_scatter_csv_format(bec55, tmp_path):
     import io
 
