@@ -122,12 +122,6 @@ def balanced_tuple(x, y):
     return np.maximum(1.0 - x - y / 2.0, 0.0), e3, e3, e3, np.maximum(x - y / 2.0, 0.0)
 
 
-def from_balanced(x: float, y: float) -> TecChannel:
-    """The unique balanced channel with entropy x and edge mass y."""
-    require_balanced(x, y)
-    return TecChannel(*(float(v) for v in balanced_tuple(x, y)))
-
-
 # H, E and A of a five-tuple (p, q, r, s, t) of floats or of array columns;
 # functionals() and the array forms in kernel both evaluate these.
 
@@ -151,13 +145,3 @@ def functionals(w: TecChannel) -> ChannelFunctionals:
     h, e, a = entropy_of(row), edge_mass_of(row), inertia_of(row)
     q_idx = e / (h * (1.0 - h)) if 0.0 < h < 1.0 else None
     return ChannelFunctionals(h, e, a, q_idx)
-
-
-def rotate(w: TecChannel) -> TecChannel:
-    """Premultiply the input by the primitive element: cycles (q, r, s)."""
-    return TecChannel(w.p, w.s, w.q, w.r, w.t)
-
-
-def dual(w: TecChannel) -> TecChannel:
-    """Reverse the five-tuple; swaps the roles of serial and parallel."""
-    return TecChannel(w.t, w.s, w.r, w.q, w.p)

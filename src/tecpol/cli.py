@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -66,12 +67,12 @@ def _cmd_show(args) -> int:
 
 def _cmd_children(args) -> int:
     w = parse_channel_spec(args.channel)
-    pair = kernel.twisted_children(w)
+    serial, parallel = kernel.children_arrays(np.array([w.as_tuple()]))
     with _output(args.out) as fh:
         fh.write("serial child:\n")
-        _print_functionals(pair.serial, fh)
+        _print_functionals(kernel.tec_from_row(serial[0]), fh)
         fh.write("parallel child:\n")
-        _print_functionals(pair.parallel, fh)
+        _print_functionals(kernel.tec_from_row(parallel[0]), fh)
     return 0
 
 
@@ -122,16 +123,16 @@ def _cmd_eigen(args) -> int:
         return 0 if payload["pass"] else 1
     # power iteration
     if args.map == "bec":
-        child_map = kernel.bec_children
+        curve = np.zeros_like
     elif args.map == "alpha":
-        child_map = eigen.twist_on_curve(lambda x: trap.analytic_curve("alpha_parabola", x))
+        curve = functools.partial(trap.analytic_curve, "alpha_parabola")
     else:
         if not args.curve_file:
             raise ValueError("--curve-file is required with --map curve")
         with open(args.curve_file) as fh:
-            child_map = eigen.twist_on_curve(spline.read_spline(fh))
+            curve = spline.read_spline(fh)
     result = eigen.power_iterate(
-        child_map, **_given(args, "psi_exponent", "nodes", "tol", "max_iters")
+        curve, **_given(args, "psi_exponent", "nodes", "tol", "max_iters")
     )
     payload = {
         "lambda": result.lam,

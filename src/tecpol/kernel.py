@@ -10,19 +10,11 @@ are revealed and computing span membership over the two-element field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Literal
 
 import numpy as np
 
-from .channel import TecChannel, edge_mass_of, entropy_of, inertia_of, rotate
-from .errors import OutOfRange
-
-
-@dataclass(frozen=True)
-class ChildPair:
-    serial: TecChannel
-    parallel: TecChannel
+from .channel import TecChannel, edge_mass_of, entropy_of, inertia_of
 
 
 def _serial(u, v):
@@ -51,29 +43,11 @@ def parallel_combine(u: TecChannel, v: TecChannel) -> TecChannel:
     return tec_from_row(_parallel(u.as_tuple(), v.as_tuple()))
 
 
-def twisted_children(w: TecChannel) -> ChildPair:
-    """Both children under the twisted kernel: combine w with its rotation."""
-    return ChildPair(serial_combine(w, rotate(w)), parallel_combine(w, rotate(w)))
-
-
-def untwisted_children(w: TecChannel) -> ChildPair:
-    """Children without the rotation; the binary-matrix baseline."""
-    return ChildPair(serial_combine(w, w), parallel_combine(w, w))
-
-
-def bec_children(eps):
-    """(serial, parallel) erasure probabilities of BEC(eps)'s children; eps may be an array."""
-    e = np.asarray(eps, dtype=float)
-    ok = (0.0 <= e) & (e <= 1.0)
-    if not ok.all():
-        raise OutOfRange(f"erasure probability {float(e[~ok].flat[0])!r} outside [0, 1]")
-    return (2.0 * eps - eps * eps, eps * eps)
-
-
 def balanced_children(x, y):
     """(h_p, e_p, h_s, e_s) of the children of balanced channels at (x, y),
     floats or arrays; the caller vouches for feasibility.  A closed form:
-    reading these off 5-column children is several times slower."""
+    reading these off 5-column children is several times slower.  y = 0 is
+    the binary erasure channel, whose children erase with 2x - x^2 and x^2."""
     y2 = y * y
     h_p = x * x - y2 / 12.0
     e_p = 2.0 * x * y - 2.0 * y2 / 3.0
@@ -216,7 +190,7 @@ def combine_arrays(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def children_arrays(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Twisted children of an (N, 5) array of channels; returns (serial, parallel).
-    The rotation of channel.rotate is the column order (p, s, q, r, t), not a copy."""
+    The twist, a rotation cycling (q, r, s), is the column order (p, s, q, r, t)."""
     p, q, r, s, t = w.T
     return _stacked(w.T, (p, s, q, r, t))
 

@@ -40,38 +40,25 @@ class LinearSpline:
         return np.interp(x, self.nodes, self.values)
 
 
-def monotone_cleanup(values: np.ndarray):
-    """Return a non-decreasing copy of ``values``, pooling noise-level dips.
-
-    Decreasing input (last value below the first) is reversed first.  Raises
-    NotMonotone (with the first offending index) if any dip exceeds
-    NOISE_TOL, or if the data is not monotone at all.  Returns the cleaned
-    array and a bool telling whether the input was decreasing.
-    """
-    values = np.asarray(values, dtype=float)
-    decreasing = bool(values[-1] < values[0])
-    if decreasing:
-        values = values[::-1]
-    bad = np.nonzero(np.diff(values) < -NOISE_TOL)[0]
-    if bad.size:
-        raise NotMonotone(int(bad[0]))
-    cleaned = np.maximum.accumulate(values)
-    return cleaned, decreasing
-
-
 def compose_through_inverse(
     h_vals: np.ndarray, e_vals: np.ndarray, grid: np.ndarray
 ) -> np.ndarray:
     """Evaluate x -> e(h^{-1}(x)) on ``grid`` from parallel samples of h and e.
 
     ``h_vals`` must be monotone up to floating noise; this is the single-pass
-    spline inversion the trap iteration relies on.  Pooled plateaus keep
-    only their first node, so the inverse has strictly increasing abscissae.
+    spline inversion the trap iteration relies on.  Decreasing samples are
+    reversed first, and dips up to NOISE_TOL are pooled; a larger dip raises
+    NotMonotone with the first offending index.  Pooled plateaus keep only
+    their first node, so the inverse has strictly increasing abscissae.
     """
-    cleaned, decreasing = monotone_cleanup(h_vals)
+    h_vals = np.asarray(h_vals, dtype=float)
     e_vals = np.asarray(e_vals, dtype=float)
-    if decreasing:
-        e_vals = e_vals[::-1]
+    if h_vals[-1] < h_vals[0]:
+        h_vals, e_vals = h_vals[::-1], e_vals[::-1]
+    bad = np.nonzero(np.diff(h_vals) < -NOISE_TOL)[0]
+    if bad.size:
+        raise NotMonotone(int(bad[0]))
+    cleaned = np.maximum.accumulate(h_vals)
     keep = np.concatenate(([True], np.diff(cleaned) > 0))
     return np.interp(grid, cleaned[keep], e_vals[keep])
 

@@ -18,8 +18,6 @@ from .errors import UnknownCurve
 from .kernel import balanced_children
 from .spline import LinearSpline, compose_through_inverse
 
-CURVE_NAMES = ("alpha_parabola", "outer_parabola", "poly_inner", "poly_outer")
-
 
 def analytic_curve(name: str, x):
     """Evaluate one of the four closed-form trap curves."""

@@ -262,10 +262,6 @@ _CHECKS: dict[str, Callable] = {
 
 CHECK_IDS = tuple(_CHECKS)
 
-#: checks whose margins are asserted (ultimate-A is descriptive only: the
-#: O(1/n) statement hides an unspecified constant)
-ASSERTED_CHECK_IDS = tuple(cid for cid in CHECK_IDS if cid != "ultimate-A")
-
 
 def run_check(check_id: str, samples: int = 100_000, seed: int = 0) -> VerificationReport:
     if check_id not in _CHECKS:

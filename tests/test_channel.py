@@ -1,12 +1,29 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tecpol import channel
+from tecpol import channel, kernel
 from tecpol.errors import InfeasiblePoint, NegativeComponent, OutOfRange, SumNotOne
 
 TOL = 1e-12
+
+
+def rotate(w):
+    """Premultiply the input by the primitive element: cycles (q, r, s)."""
+    return channel.TecChannel(w.p, w.s, w.q, w.r, w.t)
+
+
+def dual(w):
+    """Reverse the five-tuple; swaps the roles of serial and parallel."""
+    return channel.TecChannel(*w.as_tuple()[::-1])
+
+
+def from_balanced(x, y):
+    """The unique balanced channel with entropy x and edge mass y."""
+    channel.require_balanced(x, y)
+    return kernel.tec_from_row(channel.balanced_tuple(x, y))
 
 
 def tec_tuples():
@@ -79,13 +96,13 @@ def test_from_bec_pair_frozen_values():
 
 
 def test_from_balanced():
-    w = channel.from_balanced(0.5, 0.0)
+    w = from_balanced(0.5, 0.0)
     assert w.as_tuple() == (0.5, 0, 0, 0, 0.5)
-    w = channel.from_balanced(0.5, 0.3)
+    w = from_balanced(0.5, 0.3)
     want = (0.35, 0.1, 0.1, 0.1, 0.35)
     assert all(abs(a - b) <= TOL for a, b in zip(w.as_tuple(), want))
     with pytest.raises(InfeasiblePoint):
-        channel.from_balanced(0.1, 0.5)
+        from_balanced(0.1, 0.5)
 
 
 def test_functionals_worked_example():
@@ -107,30 +124,19 @@ def test_balanced_has_zero_inertia():
     assert f.inertia == 0.0
 
 
-def test_rotate_permutation():
-    w = channel.new_tec(0.1, 0.2, 0.3, 0.4, 0)
-    assert channel.rotate(w).as_tuple() == (0.1, 0.4, 0.2, 0.3, 0)
-
-
 def test_rotate_fixes_balanced():
-    w = channel.new_tec(0.35, 0.1, 0.1, 0.1, 0.35)
-    assert channel.rotate(w) == w
-
-
-def test_dual_examples():
-    assert channel.dual(channel.new_tec(1, 0, 0, 0, 0)).as_tuple() == (0, 0, 0, 0, 1)
-    w = channel.from_bec_pair(0.55, 0.55)
-    d = channel.dual(w)
-    assert d.as_tuple() == (w.t, w.s, w.r, w.q, w.p)
-    assert channel.functionals(d).entropy == pytest.approx(0.45, abs=TOL)
+    # so the twist does nothing to balanced channels: both child maps agree
+    x, y = np.array([0.5, 0.2, 0.9]), np.array([0.3, 0.1, 0.15])
+    rows = np.column_stack(channel.balanced_tuple(x, y))
+    pairs = zip(kernel.children_arrays(rows), kernel.untwisted_children_arrays(rows))
+    for twisted, untwisted in pairs:
+        assert np.array_equal(twisted, untwisted)
 
 
 @given(tec_tuples())
-def test_rotate_order_three_and_invariant_functionals(comps):
+def test_functionals_invariant_under_rotation(comps):
     w = channel.new_tec(*comps)
-    r3 = channel.rotate(channel.rotate(channel.rotate(w)))
-    assert all(abs(a - b) <= TOL for a, b in zip(r3.as_tuple(), w.as_tuple()))
-    f, fr = channel.functionals(w), channel.functionals(channel.rotate(w))
+    f, fr = channel.functionals(w), channel.functionals(rotate(w))
     assert fr.entropy == pytest.approx(f.entropy, abs=TOL)
     assert fr.edge_mass == pytest.approx(f.edge_mass, abs=TOL)
     assert fr.inertia == pytest.approx(f.inertia, abs=TOL)
@@ -143,7 +149,7 @@ def test_rotate_order_three_and_invariant_functionals(comps):
 @given(tec_tuples())
 def test_dual_functionals(comps):
     w = channel.new_tec(*comps)
-    f, fd = channel.functionals(w), channel.functionals(channel.dual(w))
+    f, fd = channel.functionals(w), channel.functionals(dual(w))
     assert fd.entropy == pytest.approx(1.0 - f.entropy, abs=TOL)
     assert fd.edge_mass == pytest.approx(f.edge_mass, abs=TOL)
     assert fd.inertia == pytest.approx(f.inertia, abs=TOL)
@@ -152,7 +158,7 @@ def test_dual_functionals(comps):
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 def test_balanced_round_trip(x, u):
     y = u * 2.0 * min(x, 1.0 - x)
-    w = channel.from_balanced(x, y)
+    w = from_balanced(x, y)
     f = channel.functionals(w)
     assert f.entropy == pytest.approx(x, abs=1e-12)
     assert f.edge_mass == pytest.approx(y, abs=1e-12)

@@ -8,31 +8,38 @@ from tecpol import eigen, kernel, trap
 from tecpol.errors import OutOfRange
 
 
-def lemma_curve(x):
-    return 9.0 * x * (1.0 - x) / 7.0
-
-
 def psi07(x):
     x = np.asarray(x, dtype=float)
     return (x * (1.0 - x)) ** 0.7
 
 
-def one_step_ratio(psi, child_map, x):
-    """[psi(H_s(x)) + psi(H_p(x))] / (2 psi(x))"""
-    h_s, h_p = child_map(x)
+def alpha_parabola(x):
+    return trap.analytic_curve("alpha_parabola", x)
+
+
+def lemma_quartics(x):
+    """The paper's quartic child entropies (H_s, H_p) on y = 9x(1-x)/7."""
+    h_p = (169.0 * x**2 + 54.0 * x**3 - 27.0 * x**4) / 196.0
+    return 2.0 * x - h_p, h_p
+
+
+def one_step_ratio(psi, curve, x):
+    """[psi(H_s(x)) + psi(H_p(x))] / (2 psi(x)) for balanced children on the
+    edge-mass curve y = curve(x)"""
+    h_p, h_s = kernel.balanced_children(x, curve(x))[::2]
     return float((psi(h_s) + psi(h_p)) / (2.0 * psi(x)))
 
 
 def test_one_step_ratio_bec_example():
     # [(0.7975*0.2025)^0.7 + (0.3025*0.6975)^0.7] / (2*(0.55*0.45)^0.7)
-    got = one_step_ratio(psi07, kernel.bec_children, 0.55)
+    got = one_step_ratio(psi07, np.zeros_like, 0.55)
     assert got == pytest.approx(0.817984, abs=1e-6)
 
 
 def test_lemma_quartics_match_twist_on_lemma_curve():
     x = np.linspace(0.01, 0.99, 199)
-    hs_a, hp_a = eigen.lemma_child_entropies(x)
-    hs_b, hp_b = eigen.twist_on_curve(lemma_curve)(x)
+    hs_a, hp_a = lemma_quartics(x)
+    hp_b, hs_b = kernel.balanced_children(x, eigen.lemma_curve(x))[::2]
     np.testing.assert_allclose(hs_a, hs_b, atol=1e-14)
     np.testing.assert_allclose(hp_a, hp_b, atol=1e-14)
     np.testing.assert_allclose(hs_a + hp_a, 2 * x, atol=1e-14)
@@ -40,7 +47,7 @@ def test_lemma_quartics_match_twist_on_lemma_curve():
 
 def test_lemma_ratio_below_bound_on_lemma_curve():
     for x in np.linspace(0.05, 0.95, 19):
-        r = one_step_ratio(eigen.lemma_psi, eigen.twist_on_curve(lemma_curve), float(x))
+        r = one_step_ratio(eigen.lemma_psi, eigen.lemma_curve, float(x))
         assert r < eigen.LEMMA_RATIO_BOUND
 
 
@@ -58,8 +65,8 @@ def test_ratio_decreases_when_curve_rises(rng):
         cap = 2.0 * min(x, 1.0 - x)
         y1 = rng.uniform(0.0, cap)
         y2 = rng.uniform(y1, cap)
-        lo = one_step_ratio(psi07, eigen.twist_on_curve(lambda _: np.asarray(y2)), x)
-        hi = one_step_ratio(psi07, eigen.twist_on_curve(lambda _: np.asarray(y1)), x)
+        lo = one_step_ratio(psi07, lambda _: y2, x)
+        hi = one_step_ratio(psi07, lambda _: y1, x)
         assert lo <= hi + 1e-12
 
 
@@ -74,7 +81,7 @@ def test_mu_from_lambda():
 
 
 def test_power_iterate_binary_bec():
-    res = eigen.power_iterate(kernel.bec_children, nodes=20_000, tol=1e-9)
+    res = eigen.power_iterate(np.zeros_like, nodes=20_000, tol=1e-9)
     assert res.mu == pytest.approx(3.627, abs=0.01)
     assert 0.0 < res.lam < 1.0
     assert res.concave
@@ -84,29 +91,23 @@ def test_power_iterate_binary_bec():
 
 
 def test_power_iterate_alpha_parabola():
-    res = eigen.power_iterate(
-        eigen.twist_on_curve(lambda x: trap.analytic_curve("alpha_parabola", x)),
-        nodes=20_000,
-    )
+    res = eigen.power_iterate(alpha_parabola, nodes=20_000)
     assert res.mu <= 3.451
     assert res.concave
 
 
 def test_eigenfunction_symmetry_for_symmetric_curve():
-    res = eigen.power_iterate(
-        eigen.twist_on_curve(lambda x: trap.analytic_curve("alpha_parabola", x)),
-        nodes=20_001,
-        tol=1e-9,
-    )
+    res = eigen.power_iterate(alpha_parabola, nodes=20_001, tol=1e-9)
     vals = res.eigenfunction.values
     assert np.max(np.abs(vals - vals[::-1])) <= 1e-6
 
 
 def test_lambda_insensitive_to_psi_floor():
-    lams = []
-    for floor in (1e-12, 1e-9, 1e-6):
-        res = eigen.power_iterate(kernel.bec_children, nodes=20_000, psi_floor=floor)
-        lams.append(res.lam)
+    # the floor only masks the final Rayleigh quotient, never the iteration
+    res = eigen.power_iterate(np.zeros_like, nodes=20_000)
+    grid, psi = res.eigenfunction.nodes, res.eigenfunction.values
+    h_p, h_s = kernel.balanced_children(grid, 0.0)[::2]
+    lams = [eigen._rayleigh(psi, h_s, h_p, grid, floor) for floor in (1e-12, 1e-9, 1e-6)]
     assert max(lams) - min(lams) <= 1e-4
 
 
@@ -128,7 +129,7 @@ def test_power_iterate_validates_arguments():
 
 
 def test_power_iterate_on_numerical_inner_bound(trap_bounds):
-    res = eigen.power_iterate(eigen.twist_on_curve(trap_bounds.inner), nodes=20_000)
+    res = eigen.power_iterate(trap_bounds.inner, nodes=20_000)
     assert res.mu <= 3.328 + 0.01
 
 
@@ -140,9 +141,9 @@ def mu_run(trap_bounds):
     """(map name, nodes) -> power iteration, run once per pair; phi is the
     conftest inner bound."""
     maps = {
-        "bec": kernel.bec_children,
-        "alpha": eigen.twist_on_curve(lambda x: trap.analytic_curve("alpha_parabola", x)),
-        "phi": eigen.twist_on_curve(trap_bounds.inner),
+        "bec": np.zeros_like,
+        "alpha": alpha_parabola,
+        "phi": trap_bounds.inner,
     }
 
     @functools.lru_cache(maxsize=None)
@@ -159,7 +160,7 @@ def test_mu_grid_converged_at_default_nodes(mu_run, name):
 
 
 def test_bec_mu_reads_3_627_at_default_nodes():
-    assert round(eigen.power_iterate(kernel.bec_children).mu, 3) == 3.627
+    assert round(eigen.power_iterate(np.zeros_like).mu, 3) == 3.627
 
 
 @pytest.mark.parametrize("nodes", [1000, 10_000, 100_000])
@@ -175,3 +176,19 @@ def test_concavity_flags_a_dent_at_every_size(mu_run, nodes):
     dented = limit.values.copy()
     dented[nodes // 3] *= 1.0 - 1e-4
     assert not eigen._is_concave(limit.nodes, dented)
+
+
+def test_lemma_ratio_matches_40_digit_quartic():
+    # the float ratio at the grid argmax against the paper's closed form
+    mpmath = pytest.importorskip("mpmath")
+    max_ratio, argmax_x = eigen.verify_lemma_eigen()
+    with mpmath.workdps(40):
+
+        def psi(v):
+            w = v * (1 - v)
+            return w ** mpmath.mpf("0.697") * (5 - mpmath.sqrt(w))
+
+        x = mpmath.mpf(argmax_x)
+        h_s, h_p = lemma_quartics(x)
+        want = (psi(h_s) + psi(h_p)) / (2 * psi(x))
+    assert abs(max_ratio - float(want)) <= 1e-14

@@ -3,9 +3,33 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tecpol import channel, kernel
-from tecpol.channel import dual, from_balanced, from_bec_pair, functionals, new_tec, rotate
+from tecpol.channel import TecChannel, balanced_tuple, from_bec_pair, functionals, new_tec
 
 TOL = 1e-12
+
+
+def rotate(w):
+    """Premultiply the input by the primitive element: cycles (q, r, s)."""
+    return TecChannel(w.p, w.s, w.q, w.r, w.t)
+
+
+def dual(w):
+    """Reverse the five-tuple; swaps the roles of serial and parallel."""
+    return TecChannel(*w.as_tuple()[::-1])
+
+
+def from_balanced(x, y):
+    return kernel.tec_from_row(balanced_tuple(x, y))
+
+
+def one_row(children_fn, w):
+    """(serial, parallel) of one channel through an array child map."""
+    serial, parallel = children_fn(np.array([w.as_tuple()]))
+    return kernel.tec_from_row(serial[0]), kernel.tec_from_row(parallel[0])
+
+
+def twisted_children(w):
+    return one_row(kernel.children_arrays, w)
 
 
 def tec_tuples():
@@ -51,28 +75,27 @@ def test_parallel_combine_frozen_example():
 
 
 def test_twisted_children_frozen_example():
-    pair = kernel.twisted_children(W_QUARTER)
-    assert_close(pair.serial, new_tec(0.0625, 0.1875, 0.0625, 0.0625, 0.625))
-    assert_close(pair.parallel, new_tec(0.625, 0.1875, 0.0625, 0.0625, 0.0625))
+    serial, parallel = twisted_children(W_QUARTER)
+    assert_close(serial, new_tec(0.0625, 0.1875, 0.0625, 0.0625, 0.625))
+    assert_close(parallel, new_tec(0.625, 0.1875, 0.0625, 0.0625, 0.0625))
     # and both equal the explicit combination with the rotated channel
-    assert_close(pair.serial, kernel.serial_combine(W_QUARTER, rotate(W_QUARTER)))
-    assert_close(pair.parallel, kernel.parallel_combine(W_QUARTER, rotate(W_QUARTER)))
+    assert_close(serial, kernel.serial_combine(W_QUARTER, rotate(W_QUARTER)))
+    assert_close(parallel, kernel.parallel_combine(W_QUARTER, rotate(W_QUARTER)))
 
 
 def test_twisted_children_entropies_bec55():
-    pair = kernel.twisted_children(from_bec_pair(0.55, 0.55))
-    hs = functionals(pair.serial).entropy
-    hp = functionals(pair.parallel).entropy
+    serial, parallel = twisted_children(from_bec_pair(0.55, 0.55))
+    hs = functionals(serial).entropy
+    hp = functionals(parallel).entropy
     assert hs == pytest.approx(0.828128, abs=1e-6)
     assert hp == pytest.approx(0.271872, abs=1e-6)
     assert hs + hp == pytest.approx(1.1, abs=TOL)
 
 
 def test_balanced_children_stay_balanced():
-    w = from_balanced(0.4, 0.3)
-    pair = kernel.twisted_children(w)
-    assert functionals(pair.serial).inertia == pytest.approx(0.0, abs=TOL)
-    assert functionals(pair.parallel).inertia == pytest.approx(0.0, abs=TOL)
+    serial, parallel = twisted_children(from_balanced(0.4, 0.3))
+    assert functionals(serial).inertia == pytest.approx(0.0, abs=TOL)
+    assert functionals(parallel).inertia == pytest.approx(0.0, abs=TOL)
 
 
 def test_balanced_child_maps_examples():
@@ -89,8 +112,8 @@ def test_balanced_child_maps_match_actual_children(rng):
         x = rng.uniform(0, 1)
         y = rng.uniform(0, 1) * 2 * min(x, 1 - x)
         h_p, e_p, h_s, e_s = kernel.balanced_children(x, y)
-        pair = kernel.twisted_children(from_balanced(x, y))
-        fs, fp = functionals(pair.serial), functionals(pair.parallel)
+        serial, parallel = twisted_children(from_balanced(x, y))
+        fs, fp = functionals(serial), functionals(parallel)
         assert fp.entropy == pytest.approx(h_p, abs=TOL)
         assert fp.edge_mass == pytest.approx(e_p, abs=TOL)
         assert fs.entropy == pytest.approx(h_s, abs=TOL)
@@ -118,26 +141,27 @@ def test_children_inertia_closed_form(rng):
     for row in kernel.sample_tecs(rng, 500):
         w = kernel.tec_from_row(row)
         a_s, a_p = children_inertia_closed_form(w)
-        pair = kernel.twisted_children(w)
-        assert functionals(pair.serial).inertia == pytest.approx(a_s, abs=TOL)
-        assert functionals(pair.parallel).inertia == pytest.approx(a_p, abs=TOL)
+        serial, parallel = twisted_children(w)
+        assert functionals(serial).inertia == pytest.approx(a_s, abs=TOL)
+        assert functionals(parallel).inertia == pytest.approx(a_p, abs=TOL)
         assert a_s + a_p <= functionals(w).inertia + TOL
 
 
 def test_bec_children():
-    assert kernel.bec_children(0) == (0, 0)
-    assert kernel.bec_children(1) == (1, 1)
-    es, ep = kernel.bec_children(0.55)
+    # the BEC is the balanced channel on the edge-mass curve y = 0
+    assert kernel.balanced_children(0.0, 0.0)[::2] == (0, 0)
+    assert kernel.balanced_children(1.0, 0.0)[::2] == (1, 1)
+    ep, es = kernel.balanced_children(0.55, 0.0)[::2]
     assert es == pytest.approx(0.7975, abs=TOL)
     assert ep == pytest.approx(0.3025, abs=TOL)
 
 
 def test_untwisted_children_of_bec_pair_are_bec_pairs():
     eps = 0.55
-    pair = kernel.untwisted_children(from_bec_pair(eps, eps))
-    es, ep = kernel.bec_children(eps)
-    assert_close(pair.serial, from_bec_pair(es, es), tol=1e-12)
-    assert_close(pair.parallel, from_bec_pair(ep, ep), tol=1e-12)
+    serial, parallel = one_row(kernel.untwisted_children_arrays, from_bec_pair(eps, eps))
+    ep, es = kernel.balanced_children(eps, 0.0)[::2]
+    assert_close(serial, from_bec_pair(es, es), tol=1e-12)
+    assert_close(parallel, from_bec_pair(ep, ep), tol=1e-12)
 
 
 def test_oracle_full_recovery_pattern():
@@ -186,8 +210,8 @@ def test_serial_parallel_duality(cu, cv):
 @given(tec_tuples())
 def test_child_duality_up_to_rotation(comps):
     w = new_tec(*comps)
-    lhs = dual(kernel.twisted_children(w).serial)
-    rhs = kernel.twisted_children(dual(w)).parallel
+    lhs = dual(twisted_children(w)[0])
+    rhs = twisted_children(dual(w))[1]
     fl, fr = functionals(lhs), functionals(rhs)
     assert fl.entropy == pytest.approx(fr.entropy, abs=TOL)
     assert fl.edge_mass == pytest.approx(fr.edge_mass, abs=TOL)
@@ -201,10 +225,10 @@ def test_child_duality_up_to_rotation(comps):
 @given(tec_tuples())
 def test_entropy_conservation_and_ordering(comps):
     w = new_tec(*comps)
-    pair = kernel.twisted_children(w)
+    serial, parallel = twisted_children(w)
     h = functionals(w).entropy
-    hs = functionals(pair.serial).entropy
-    hp = functionals(pair.parallel).entropy
+    hs = functionals(serial).entropy
+    hp = functionals(parallel).entropy
     assert hs + hp == pytest.approx(2 * h, abs=TOL)
     assert hp <= h + TOL <= hs + 2 * TOL
 
@@ -220,7 +244,8 @@ def test_uniform_inertia_loss(comps):
 
 
 def test_array_helpers_agree_with_scalar_path(rng):
-    # one formula serves both paths, so they agree bit for bit
+    # one formula serves both paths, so they agree bit for bit; the twisted
+    # children are the combination with the rotated channel
     rows = kernel.sample_tecs(rng, 100)
     others = kernel.sample_tecs(rng, 100)
     serial, parallel = kernel.children_arrays(rows)
@@ -230,12 +255,10 @@ def test_array_helpers_agree_with_scalar_path(rng):
     for i, row in enumerate(rows):
         w = kernel.tec_from_row(row)
         v = kernel.tec_from_row(others[i])
-        tw = kernel.twisted_children(w)
-        un = kernel.untwisted_children(w)
-        assert tuple(serial[i]) == tw.serial.as_tuple()
-        assert tuple(parallel[i]) == tw.parallel.as_tuple()
-        assert tuple(useries[i]) == un.serial.as_tuple()
-        assert tuple(uparallel[i]) == un.parallel.as_tuple()
+        assert tuple(serial[i]) == kernel.serial_combine(w, rotate(w)).as_tuple()
+        assert tuple(parallel[i]) == kernel.parallel_combine(w, rotate(w)).as_tuple()
+        assert tuple(useries[i]) == kernel.serial_combine(w, w).as_tuple()
+        assert tuple(uparallel[i]) == kernel.parallel_combine(w, w).as_tuple()
         assert tuple(cserial[i]) == kernel.serial_combine(w, v).as_tuple()
         assert tuple(cparallel[i]) == kernel.parallel_combine(w, v).as_tuple()
         assert tuple(oserial[i]) == kernel.brute_force_combine(w, v, "serial").as_tuple()
@@ -244,9 +267,9 @@ def test_array_helpers_agree_with_scalar_path(rng):
         assert kernel.entropy_array(rows)[i] == f.entropy
         assert kernel.edge_mass_array(rows)[i] == f.edge_mass
         assert kernel.inertia_array(rows)[i] == f.inertia
-    # the balanced five-tuple: one formula for arrays and for from_balanced
+    # the balanced five-tuple: one formula for arrays and for scalars
     x = rng.uniform(0.0, 1.0, 100)
     y = rng.uniform(0.0, 1.0, 100) * 2.0 * np.minimum(x, 1.0 - x)
     balanced = np.column_stack(channel.balanced_tuple(x, y))
     for i in range(100):
-        assert tuple(balanced[i]) == from_balanced(x[i], y[i]).as_tuple()
+        assert tuple(balanced[i]) == from_balanced(float(x[i]), float(y[i])).as_tuple()

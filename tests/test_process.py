@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tecpol import kernel, process
-from tecpol.channel import from_bec_pair, from_balanced, functionals, new_tec
+from tecpol.channel import TecChannel, balanced_tuple, from_bec_pair, functionals, new_tec
 from tecpol.errors import DegenerateRoot, DepthTooLarge
 from tecpol.process import KernelKind
 
@@ -92,7 +92,7 @@ def test_inertia_series_average_decay(bec55):
 
 
 def test_inertia_series_balanced_root_is_zero():
-    root = from_balanced(0.5, 0.3)
+    root = kernel.tec_from_row(balanced_tuple(0.5, 0.3))
     series = process.psi_expectation_series(root, 6)
     assert all(st.mean_inertia == pytest.approx(0.0, abs=1e-12) for st in series)
 
@@ -279,13 +279,17 @@ def test_tables_compare_by_contents(bec55):
 def test_scatter_csv_matches_per_record_reference(bec55):
     import io
 
-    # the leaves from the scalar kernel, in s < p order
+    # the leaves from the scalar combines, each channel with its rotation
+    # (cycling q, r, s), in s < p order
     leaves = [("", bec55)]
     for _ in range(10):
         nxt = []
         for path, w in leaves:
-            pair = kernel.twisted_children(w)
-            nxt += [(path + "s", pair.serial), (path + "p", pair.parallel)]
+            rot = TecChannel(w.p, w.s, w.q, w.r, w.t)
+            nxt += [
+                (path + "s", kernel.serial_combine(w, rot)),
+                (path + "p", kernel.parallel_combine(w, rot)),
+            ]
         leaves = nxt
     want = ["path,H,E,A\n"]
     for path, w in leaves:

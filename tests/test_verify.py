@@ -7,7 +7,11 @@ from tecpol import verify
 from tecpol.errors import UnknownCheck
 
 
-@pytest.mark.parametrize("check_id", verify.ASSERTED_CHECK_IDS)
+#: ultimate-A is descriptive only: the O(1/n) statement hides an unspecified constant
+ASSERTED_CHECK_IDS = tuple(cid for cid in verify.CHECK_IDS if cid != "ultimate-A")
+
+
+@pytest.mark.parametrize("check_id", ASSERTED_CHECK_IDS)
 def test_each_check_passes(check_id):
     report = verify.run_check(check_id, samples=20_000, seed=2)
     assert report.passed, report
