@@ -84,11 +84,17 @@ def _rayleigh(psi_vals, hs, hp, grid, floor):
 def _is_concave(grid: np.ndarray, vals: np.ndarray) -> bool:
     # each node may sit below the chord of its two neighbours by at most
     # CONCAVITY_TOL of its own value; the chord gap is the slope rise times
-    # h_l h_r / (h_l + h_r), so a kink reads the same on every grid
-    h = np.diff(grid)
-    slope_rise = np.diff(np.diff(vals) / h)
-    chord_gap = slope_rise * h[:-1] * h[1:] / (h[:-1] + h[1:])
-    return bool(np.all(chord_gap <= CONCAVITY_TOL * vals[1:-1]))
+    # h_l h_r / (h_l + h_r), so a kink reads the same on every grid.  Smooth
+    # convexity gives gaps that shrink as h^2, so the test runs again on
+    # about 1k of the nodes, where such gaps stand above the tolerance
+    for stride in {1, max(1, (grid.size - 1) // 999)}:
+        g, v = grid[::stride], vals[::stride]
+        h = np.diff(g)
+        slope_rise = np.diff(np.diff(v) / h)
+        chord_gap = slope_rise * h[:-1] * h[1:] / (h[:-1] + h[1:])
+        if not np.all(chord_gap <= CONCAVITY_TOL * v[1:-1]):
+            return False
+    return True
 
 
 def _graded_grid(nodes: int) -> np.ndarray:
@@ -118,8 +124,8 @@ def power_iterate(
     the normalization convention of the recursion itself.  Concavity of the
     limit is checked, not enforced: a non-concave limit invalidates the
     separation argument behind the mu certificate.  The check catches kinks
-    but not smooth convexity finer than ``CONCAVITY_TOL`` per node:
-    x(1-x)(1 + 0.5 cos 6 pi x) reads concave at 10k and 100k nodes.
+    on the full grid and smooth convexity on a subsample of about 1k nodes:
+    x(1-x)(1 + 0.5 cos 6 pi x) reads non-concave at 1k, 10k and 100k nodes.
     """
     if not 0.0 < psi_exponent < math.inf:
         raise ValueError(f"psi_exponent must be positive and finite, got {psi_exponent!r}")

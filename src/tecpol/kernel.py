@@ -176,11 +176,12 @@ def tec_from_row(row: np.ndarray) -> TecChannel:
 
 # --- array forms (shared with the process module) -------------------------
 # (N, 5) inputs in either order; children come out column-major, as views of
-# contiguous (5, N) buffers, so the maps run over contiguous columns.
+# contiguous (5, N) buffers, so the maps run over contiguous columns.  The
+# children maps take ``out``, two (5, N) buffers to write the children into.
 
 
-def _stacked(u, v) -> tuple[np.ndarray, np.ndarray]:
-    return np.stack(_serial(u, v)).T, np.stack(_parallel(u, v)).T
+def _stacked(u, v, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
+    return np.stack(_serial(u, v), out=out[0]).T, np.stack(_parallel(u, v), out=out[1]).T
 
 
 def combine_arrays(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,16 +189,16 @@ def combine_arrays(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return _stacked(u.T, v.T)
 
 
-def children_arrays(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def children_arrays(w: np.ndarray, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
     """Twisted children of an (N, 5) array of channels; returns (serial, parallel).
     The twist, a rotation cycling (q, r, s), is the column order (p, s, q, r, t)."""
     p, q, r, s, t = w.T
-    return _stacked(w.T, (p, s, q, r, t))
+    return _stacked(w.T, (p, s, q, r, t), out)
 
 
-def untwisted_children_arrays(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def untwisted_children_arrays(w: np.ndarray, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
     """Untwisted (baseline) children of an (N, 5) array of channels."""
-    return _stacked(w.T, w.T)
+    return _stacked(w.T, w.T, out)
 
 
 def entropy_array(w: np.ndarray) -> np.ndarray:

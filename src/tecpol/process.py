@@ -3,6 +3,13 @@
 A generation is kept as a column-major (N, 5) float array; children are
 produced in the fixed order serial-then-parallel, so path strings sorted with
 s < p coincide with array order.  Results are ``Descendants`` tables.
+
+The psi series and sampling split their rows into blocks of ``_BLOCK_ROWS``
+and run the blocks on one thread per available core; numpy releases the GIL
+inside its loops, so the threads run side by side.  Results do not depend on
+the number of cores: block sums are added with math.fsum, which is exactly
+rounded, and sampling draws its choices block by block, in order, on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -21,9 +29,26 @@ from .channel import TecChannel, functionals
 from .errors import DegenerateRoot, DepthTooLarge
 
 MAX_EXACT_DEPTH = 24
-#: rows of one block of the depth-first psi series; a block and its children
-#: stay in cache
+#: rows of one block of the depth-first psi series and of sampling; a block
+#: and its children stay in cache
 _BLOCK_ROWS = 1 << 14
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity call on this platform
+    _WORKERS = os.cpu_count() or 1
+
+
+def _pool_map(fn, items: list) -> list:
+    """[fn(item) for item in items], on _WORKERS threads when there are
+    several items and several workers."""
+    if _WORKERS < 2 or len(items) < 2:
+        return list(map(fn, items))
+    # imported here: with its logging import it would add about 11 ms to
+    # every start of the CLI
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        return list(pool.map(fn, items))
 
 
 class KernelKind(enum.Enum):
@@ -111,10 +136,8 @@ class GenerationStats:
 
 def _evolve_array(gen: np.ndarray, kind: KernelKind) -> np.ndarray:
     """The next generation, column-major: the children of row i at 2i and 2i + 1."""
-    serial, parallel = _CHILD_FNS[kind](gen)
     out = np.empty((5, 2 * gen.shape[0]))
-    out[:, 0::2] = serial.T
-    out[:, 1::2] = parallel.T
+    _CHILD_FNS[kind](gen, out=(out[:, 0::2], out[:, 1::2]))
     return out.T
 
 
@@ -154,8 +177,9 @@ def psi_expectation_series(
 
     psi(x) = (x(1-x))**psi_exponent, the slope diagnostic behind the scaling
     exponent estimates.  The tree is walked depth-first in blocks of at most
-    _BLOCK_ROWS rows, so memory stays bounded at any depth; each generation's
-    block sums are added with math.fsum.
+    _BLOCK_ROWS rows, so memory stays bounded at any depth; the blocks of the
+    first split are walked on the thread pool.  Each generation's block sums
+    are added with math.fsum, exactly rounded whatever order they come in.
     """
     if not 0.0 < psi_exponent < math.inf:
         raise ValueError(f"psi_exponent must be positive and finite, got {psi_exponent!r}")
@@ -167,8 +191,9 @@ def psi_expectation_series(
         raise DegenerateRoot(f"root entropy {h0} is fully polarized")
     psi_sums, a_sums = [[] for _ in range(depth)], [[] for _ in range(depth)]
 
-    def descend(gen: np.ndarray, n: int) -> None:
-        """Add the sums of the descendants of ``gen``, of generation n."""
+    def descend(gen: np.ndarray, n: int, spread: bool = False) -> None:
+        """Add the sums of the descendants of ``gen``, of generation n; with
+        ``spread``, the blocks of the first split go to the pool."""
         while n < depth:
             gen = _evolve_array(gen, kind)
             # deep generations can drift past [0, 1] by a few ulps, which
@@ -178,11 +203,16 @@ def psi_expectation_series(
             a_sums[n].append(float(np.sum(kernel.inertia_array(gen))))
             n += 1
             if gen.shape[0] > _BLOCK_ROWS and n < depth:
-                for start in range(0, gen.shape[0], _BLOCK_ROWS):
-                    descend(gen[start : start + _BLOCK_ROWS], n)
+                starts = range(0, gen.shape[0], _BLOCK_ROWS)
+                blocks = [gen[start : start + _BLOCK_ROWS] for start in starts]
+                if spread:
+                    _pool_map(lambda block: descend(block, n), blocks)
+                else:
+                    for block in blocks:
+                        descend(block, n)
                 return
 
-    descend(np.array([root.as_tuple()], dtype=float), 0)
+    descend(np.array([root.as_tuple()], dtype=float), 0, spread=True)
     out = []
     for n in range(1, depth + 1):
         mean_psi = math.fsum(psi_sums[n - 1]) / 2**n
@@ -200,23 +230,40 @@ def sample_paths(
     seed: int,
     kind: KernelKind = KernelKind.QUATERNARY_TWIST,
 ) -> Descendants:
-    """``count`` independent uniform paths; deterministic for a fixed seed.
+    """``count`` independent uniform paths; deterministic for a fixed seed,
+    on any number of cores.
 
-    The first m = min(depth, count.bit_length()) steps of every path are read
-    off the exact tree at depth m, which has at most about 2 * count leaves;
-    only the remaining steps are taken path by path."""
+    The choices are drawn block by block, in order, which gives the same
+    stream as one (count, depth) draw.  The first m = min(depth,
+    count.bit_length()) steps of every path are read off the exact tree at
+    depth m, which has at most about 2 * count leaves; only the remaining
+    steps are taken path by path, a block of paths per pool job."""
     if count < 1:
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng(seed)
-    choices = rng.integers(0, 2, size=(count, depth)) if depth else np.zeros((count, 0), int)
     m = min(depth, operator.index(count).bit_length())
-    # leaf index of the path's first m choices, read as a binary number
-    leaf = choices[:, :m] @ (1 << np.arange(m - 1, -1, -1))
-    gen = _exact_tree(root, m, kind).T[:, leaf].T
-    for k in range(m, depth):
-        serial, parallel = _CHILD_FNS[kind](gen)
-        gen = np.where(choices[:, k] == 1, parallel.T, serial.T).T
-    return Descendants(gen, _STEP_CHARS[choices])
+    weights = 1 << np.arange(m - 1, -1, -1)
+    blocks = [slice(i, min(i + _BLOCK_ROWS, count)) for i in range(0, count, _BLOCK_ROWS)]
+    chars = np.empty((count, depth), dtype=np.uint8)
+    leaf = np.empty(count, dtype=np.int64)
+    for rows in blocks:
+        choices = rng.integers(0, 2, size=(rows.stop - rows.start, depth))
+        chars[rows] = _STEP_CHARS[choices]
+        # leaf index of the path's first m choices, read as a binary number
+        leaf[rows] = choices[:, :m] @ weights
+    del choices  # the last block's int64 draw
+    tree = _exact_tree(root, m, kind).T
+    out = np.empty((5, count))
+
+    def step(rows: slice) -> None:
+        gen = tree[:, leaf[rows]].T
+        for k in range(m, depth):
+            serial, parallel = _CHILD_FNS[kind](gen)
+            gen = np.where(chars[rows, k] == _STEP_CHARS[1], parallel.T, serial.T).T
+        out[:, rows] = gen.T
+
+    _pool_map(step, blocks)
+    return Descendants(out.T, chars)
 
 
 def write_scatter_csv(table: Descendants, fh) -> None:

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -234,3 +238,12 @@ def test_solver_argument_errors_exit_2(tmp_path, capsys, argv, name):
 def test_unknown_check_exit_code(capsys):
     assert cli.run(["verify", "bogus"]) == 2
     capsys.readouterr()
+
+
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    # concurrent.futures and its logging import cost about 11 ms, which
+    # every CLI start would pay; the pool is imported when blocks run on it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, tecpol.cli; sys.exit('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

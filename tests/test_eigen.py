@@ -178,6 +178,15 @@ def test_concavity_flags_a_dent_at_every_size(mu_run, nodes):
     assert not eigen._is_concave(limit.nodes, dented)
 
 
+@pytest.mark.parametrize("nodes", [1000, 10_000, 100_000])
+def test_concavity_flags_smooth_convexity_at_every_size(nodes):
+    # the chord gaps of a smooth wave shrink as h^2 and hide below the
+    # tolerance on fine grids; the subsampled test still sees them
+    grid = eigen._graded_grid(nodes)
+    wavy = grid * (1.0 - grid) * (1.0 + 0.5 * np.cos(6.0 * np.pi * grid))
+    assert not eigen._is_concave(grid, wavy)
+
+
 def test_lemma_ratio_matches_40_digit_quartic():
     # the float ratio at the grid argmax against the paper's closed form
     mpmath = pytest.importorskip("mpmath")

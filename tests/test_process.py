@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -159,7 +160,12 @@ def _all_steps_sample(root, depth, count, seed, kind):
 
 @pytest.mark.parametrize("kind", [TWIST, BASE])
 @pytest.mark.parametrize(
-    "depth,count", [(0, 5), (1, 3), (3, 100), (5, 1000), (12, 50), (40, 1), (40, 20_000)]
+    "depth,count",
+    [
+        (0, 5), (1, 3), (3, 100), (5, 1000), (12, 50), (40, 1), (40, 20_000),
+        # several blocks, the last one ragged
+        (24, 3 * process._BLOCK_ROWS + 7),
+    ],
 )
 def test_sample_paths_match_the_all_steps_reference(bec55, kind, depth, count):
     seed = depth + count
@@ -181,16 +187,54 @@ def test_psi_series_matches_the_breadth_first_reference(bec55, kind):
         assert st.mean_inertia == pytest.approx(mean_a, rel=1e-13, abs=0)
 
 
-def test_psi_series_memory_is_bounded(bec55):
+def _traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while fn runs, on every thread."""
     import tracemalloc
 
     tracemalloc.start()
     try:
-        process.psi_expectation_series(bec55, 19)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+
+
+def test_psi_series_memory_is_bounded(bec55):
+    assert _traced_peak(lambda: process.psi_expectation_series(bec55, 19)) < 16 * 2**20
+
+
+def test_sample_paths_memory_is_bounded(bec55):
+    # the choices are drawn block by block: no (count, depth) int64 matrix
+    assert _traced_peak(lambda: process.sample_paths(bec55, 40, 100_000, 3)) < 32 * 2**20
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_results_do_not_depend_on_the_worker_count(bec55, monkeypatch, workers):
+    def run():
+        series = [process.psi_expectation_series(bec55, 17, kind) for kind in (TWIST, BASE)]
+        return series, process.sample_paths(bec55, 40, 50_000, seed=5)
+
+    default = run()
+    assert run() == default
+    monkeypatch.setattr(process, "_WORKERS", workers)
+    assert run() == default
+
+
+def test_block_sums_survive_thread_switches(bec55, monkeypatch):
+    # the workers append their block sums to shared per-generation lists;
+    # small blocks make many appends, and a short switch interval
+    # interleaves them
+    monkeypatch.setattr(process, "_BLOCK_ROWS", 1 << 6)
+    monkeypatch.setattr(process, "_WORKERS", 1)
+    want = process.psi_expectation_series(bec55, 14)
+    monkeypatch.setattr(process, "_WORKERS", 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = process.psi_expectation_series(bec55, 14)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def test_psi_series_is_not_capped_by_the_enumeration_depth(bec55, monkeypatch):
