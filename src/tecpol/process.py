@@ -5,11 +5,12 @@ produced in the fixed order serial-then-parallel, so path strings sorted with
 s < p coincide with array order.  Results are ``Descendants`` tables.
 
 The psi series and sampling split their rows into blocks of ``_BLOCK_ROWS``
-and run the blocks on one thread per available core; numpy releases the GIL
-inside its loops, so the threads run side by side.  Results do not depend on
-the number of cores: block sums are added with math.fsum, which is exactly
-rounded, and sampling draws its choices block by block, in order, on the
-calling thread.
+and run the blocks on a thread pool; numpy releases the GIL inside its loops,
+so the threads run side by side.  Sampling uses one thread per available
+core; the series hands the pool only the two blocks of its first split, so
+it uses at most two threads.  Results do not depend on the number of cores:
+block sums are added with math.fsum, which is exactly rounded, and sampling
+draws its choices block by block, in order, on the calling thread.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import operator
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -66,35 +67,20 @@ _CHILD_FNS = {
 _STEP_CHARS = np.frombuffer(b"sp", dtype=np.uint8)
 
 
-def _column(name: str) -> property:
-    return property(lambda rec: getattr(rec._table, name)[rec._i])
-
-
 class DescendantRecord:
-    """Row i of a Descendants table, read on demand: H, E and A are the
-    table's np.float64 entries, the path and the channel are built when read."""
+    """The per-row view that tecbench's tree-stats check reads: one row's H,
+    an np.float64 entry of the table's ``entropy``."""
 
-    __slots__ = ("_table", "_i")
-    entropy = _column("entropy")
-    edge_mass = _column("edge_mass")
-    inertia = _column("inertia")
+    __slots__ = ("entropy",)
 
-    def __init__(self, table: Descendants, i: int):
-        self._table, self._i = table, i
-
-    @property
-    def path(self) -> str:
-        return self._table.path_chars[self._i].tobytes().decode("ascii")
-
-    @property
-    def channel(self) -> TecChannel:
-        return kernel.tec_from_row(self._table.rows[self._i])
+    def __init__(self, entropy: np.float64):
+        self.entropy = entropy
 
 
-class Descendants(Sequence):
+class Descendants:
     """Descendants as arrays: ``rows`` (N, 5), their ``entropy``, ``edge_mass``
     and ``inertia``, and ``path_chars``, uint8 (N, depth) of ``s``/``p``.
-    As a sequence it holds DescendantRecord views."""
+    Iterating it yields a DescendantRecord per row."""
 
     def __init__(self, rows: np.ndarray, path_chars: np.ndarray):
         self.rows, self.path_chars = rows, path_chars
@@ -105,17 +91,8 @@ class Descendants(Sequence):
     def __len__(self) -> int:
         return self.rows.shape[0]
 
-    def __getitem__(self, i: int) -> DescendantRecord:
-        return DescendantRecord(self, range(len(self))[operator.index(i)])
-
     def __iter__(self):
-        return map(DescendantRecord, repeat(self), range(len(self)))
-
-    def __eq__(self, other):
-        if not isinstance(other, Descendants):
-            return NotImplemented
-        same_paths = np.array_equal(self.path_chars, other.path_chars)
-        return same_paths and np.array_equal(self.rows, other.rows)
+        return map(DescendantRecord, self.entropy)
 
     def paths(self) -> list[str]:
         """Every path string, decoded at once."""

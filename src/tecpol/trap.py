@@ -75,7 +75,7 @@ def iterate_bound(
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     grid = np.linspace(0.0, 1.0, nodes)
-    curve = 2.0 * grid * (1.0 - grid)
+    curve = analytic_curve("outer_parabola", grid)
     for k in range(1, max_iters + 1):
         nxt = _iterate_once(grid, curve, mode)
         delta = float(np.max(np.abs(nxt - curve)))

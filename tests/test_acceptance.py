@@ -193,14 +193,13 @@ def test_criterion_09_slope_series(bec55):
 
 
 def test_criterion_10_scatter_band(bec55, trap_bounds):
-    records = process.enumerate_descendants(bec55, 10)
-    assert len(records) == 1024
-    h = np.array([r.entropy for r in records])
-    e = np.array([r.edge_mass for r in records])
+    table = process.enumerate_descendants(bec55, 10)
+    assert len(table) == 1024
+    h, e = table.entropy, table.edge_mass
     lo = trap_bounds.inner(h) - 0.02
     hi = trap_bounds.outer(h) + 0.02
     frac = float(np.mean((e >= lo) & (e <= hi)))
-    mean_a = float(np.mean([r.inertia for r in records]))
+    mean_a = float(np.mean(table.inertia))
     a_cap = functionals(bec55).inertia / 2**10
     _report(
         "10 scatter-band",

@@ -87,7 +87,7 @@ def test_children_command(capsys):
 def test_scatter_command(tmp_path):
     path = str(tmp_path / "scatter.csv")
     assert cli.run(["scatter", "becpair:0.55,0.55", "--depth", "3", "--out", path]) == 0
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "path,H,E,A"
     assert len(lines) == 9
 
@@ -105,7 +105,7 @@ def test_series_deterministic(tmp_path):
     b = str(tmp_path / "b.csv")
     cli.run(["series", "becpair:0.55,0.55", "--depth", "6", "--out", a])
     cli.run(["series", "becpair:0.55,0.55", "--depth", "6", "--out", b])
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_trap_command(tmp_path, capsys):
@@ -114,7 +114,7 @@ def test_trap_command(tmp_path, capsys):
     assert cli.run(args) == 0
     # the benchmark counts trap iterations from this line
     assert re.fullmatch(r"inner bound: [1-9]\d* iterations\n", capsys.readouterr().err)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "x,y"
     assert len(lines) == 5001
 
@@ -187,8 +187,8 @@ def test_fig2_command(tmp_path, capsys):
     prefix = str(tmp_path / "fig2")
     args = ["fig2", "--depth", "3", "--nodes", "2000", "--out-prefix", prefix]
     assert cli.run(args) == 0
-    curves = open(prefix + "_curves.csv").read().splitlines()
-    scatter = open(prefix + "_scatter.csv").read().splitlines()
+    curves = Path(prefix + "_curves.csv").read_text().splitlines()
+    scatter = Path(prefix + "_scatter.csv").read_text().splitlines()
     assert curves[0] == "x,outer_parabola,outer_numeric,inner_numeric,alpha_parabola"
     assert scatter[0] == "path,H,E,A"
     assert len(scatter) == 9
@@ -214,6 +214,7 @@ def test_usage_error_exit_code(capsys):
         (["series", "becpair:0.55,0.55", "--depth", "4", "--psi-exponent", "-1"], "psi_exponent"),
         (["series", "becpair:0.55,0.55", "--depth", "4", "--psi-exponent", "nan"], "psi_exponent"),
         (["fig3", "--depth", "4", "--psi-exponent", "0"], "psi_exponent"),
+        (["eigen", "power", "--max-iters", "3"], "did not reach"),
     ],
     ids=[
         "trap-max-iters-0",
@@ -226,6 +227,7 @@ def test_usage_error_exit_code(capsys):
         "series-psi-exponent-negative",
         "series-psi-exponent-nan",
         "fig3-psi-exponent-0",
+        "eigen-no-convergence",
     ],
 )
 def test_solver_argument_errors_exit_2(tmp_path, capsys, argv, name):
