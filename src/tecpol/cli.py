@@ -152,7 +152,7 @@ def _cmd_eigen(args) -> int:
 
 def _cmd_verify(args) -> int:
     ids = verify.CHECK_IDS if args.check == "all" else (args.check,)
-    reports = [verify.run_check(cid, args.samples, args.seed) for cid in ids]
+    reports = verify.run_checks(ids, args.samples, args.seed)
     with _output(args.out) as fh:
         fh.write(json.dumps([r.to_dict() for r in reports], indent=2) + "\n")
     for r in reports:

@@ -74,7 +74,13 @@ def read_spline(fh: TextIO) -> LinearSpline:
     header = fh.readline().strip()
     if header != "x,y":
         raise ValueError(f"expected header 'x,y', got {header!r}")
-    rows = [line.strip().split(",") for line in fh if line.strip()]
-    nodes = np.array([float(a) for a, _ in rows])
-    values = np.array([float(b) for _, b in rows])
-    return LinearSpline(nodes, values)
+    nodes, values = [], []
+    for number, line in enumerate(fh, start=2):
+        try:
+            x, y = line.split(",")
+            nodes.append(float(x))
+            values.append(float(y))
+        except ValueError:
+            if line.strip():  # blank lines are skipped
+                raise ValueError(f"line {number} is not 'x,y': {line.strip()!r}") from None
+    return LinearSpline(np.array(nodes), np.array(values))

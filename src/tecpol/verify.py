@@ -3,6 +3,8 @@
 Every check transcribes one inequality and reports the worst signed margin
 over a stratified sample; a nonnegative margin (up to a -1e-9 floating-point
 floor) means PASS.  Reports are deterministic given (id, samples, seed).
+``run_checks`` shares each sampler's draw among its checks: stratified channels
+(uniform-A, average-A, conservation) and below-alpha points (inner-Q, uniform-Q).
 """
 
 from __future__ import annotations
@@ -106,25 +108,25 @@ def _below_alpha_sample(rng, samples):
 
 
 # --- checks -----------------------------------------------------------------
-# A check returns its margins and a dict of named witness columns, each
+# A check takes its sampler's draw (the generator itself if it has none) and
+# the sample count, and returns its margins and named witness columns, each
 # indexed like the margins; run_check reads the witness at the worst margin.
 
 
-def _stratified(rng, samples, functional):
-    """Stratified channels w, and ``functional`` of w and of its twisted children."""
+def _stratified(rng, samples):
+    """Stratified channels w and their twisted children (w, serial, parallel)."""
     w = stratified_tecs(rng, samples)
-    serial, parallel = kernel.children_arrays(w)
-    return w, functional(w), functional(serial), functional(parallel)
+    return (w, *kernel.children_arrays(w))
 
 
-def _check_uniform_a(rng, samples):
-    w, a, a_s, a_p = _stratified(rng, samples, kernel.inertia_array)
-    return a * (1.0 - a / 3.0) - np.maximum(a_s, a_p), {"tec": w}
+def _check_uniform_a(draw, samples):
+    a, a_s, a_p = map(kernel.inertia_array, draw)
+    return a * (1.0 - a / 3.0) - np.maximum(a_s, a_p), {"tec": draw[0]}
 
 
-def _check_average_a(rng, samples):
-    w, a, a_s, a_p = _stratified(rng, samples, kernel.inertia_array)
-    return a - a_s - a_p, {"tec": w}
+def _check_average_a(draw, samples):
+    a, a_s, a_p = map(kernel.inertia_array, draw)
+    return a - a_s - a_p, {"tec": draw[0]}
 
 
 def _check_ultimate_a(rng, samples):
@@ -153,8 +155,8 @@ def _check_trap(rng, samples):
     return np.minimum(q_s - alpha, q_p - alpha), {"x": x, "y": y}
 
 
-def _check_inner_q(rng, samples):
-    eps, x, y, b, q_s, q_p = _below_alpha_sample(rng, samples)
+def _check_inner_q(draw, samples):
+    eps, x, y, b, q_s, q_p = draw
     delta = 3.0 * eps / 8.0
     margins = np.minimum(
         q_s - b * (1.0 + x * delta), q_p - b * (1.0 + (1.0 - x) * delta)
@@ -162,8 +164,8 @@ def _check_inner_q(rng, samples):
     return margins, {"x": x, "y": y, "eps": eps}
 
 
-def _check_uniform_q(rng, samples):
-    eps, x, y, b, q_s, q_p = _below_alpha_sample(rng, samples)
+def _check_uniform_q(draw, samples):
+    eps, x, y, b, q_s, q_p = draw
     goal = b * (1.0 + eps / 8.0)
     margins = np.full(samples, np.inf)
     hi = x >= 1.0 / 3.0
@@ -241,44 +243,61 @@ def _check_oracle(rng, samples):
     }
 
 
-def _check_conservation(rng, samples):
-    w, h, h_s, h_p = _stratified(rng, samples, kernel.entropy_array)
-    return -np.abs(h_s + h_p - 2.0 * h), {"tec": w}
+def _check_conservation(draw, samples):
+    h, h_s, h_p = map(kernel.entropy_array, draw)
+    return -np.abs(h_s + h_p - 2.0 * h), {"tec": draw[0]}
 
 
-_CHECKS: dict[str, Callable] = {
-    "uniform-A": _check_uniform_a,
-    "average-A": _check_average_a,
-    "ultimate-A": _check_ultimate_a,
-    "trap": _check_trap,
-    "inner-Q": _check_inner_q,
-    "uniform-Q": _check_uniform_q,
-    "gap-jump": _check_gap_jump,
-    "outer-Q": _check_outer_q,
-    "fg-bounds": _check_fg_bounds,
-    "oracle": _check_oracle,
-    "conservation": _check_conservation,
+_CHECKS: dict[str, tuple[Callable | None, Callable]] = {
+    "uniform-A": (_stratified, _check_uniform_a),
+    "average-A": (_stratified, _check_average_a),
+    "ultimate-A": (None, _check_ultimate_a),
+    "trap": (None, _check_trap),
+    "inner-Q": (_below_alpha_sample, _check_inner_q),
+    "uniform-Q": (_below_alpha_sample, _check_uniform_q),
+    "gap-jump": (None, _check_gap_jump),
+    "outer-Q": (None, _check_outer_q),
+    "fg-bounds": (None, _check_fg_bounds),
+    "oracle": (None, _check_oracle),
+    "conservation": (_stratified, _check_conservation),
 }
 
 CHECK_IDS = tuple(_CHECKS)
 
 
-def run_check(check_id: str, samples: int = 100_000, seed: int = 0) -> VerificationReport:
+def _lookup(check_id: str, samples: int) -> tuple:
     if check_id not in _CHECKS:
         raise UnknownCheck(f"no check named {check_id!r}; known: {', '.join(CHECK_IDS)}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    rng = np.random.default_rng(seed)
-    margins, columns = _CHECKS[check_id](rng, samples)
+    return _CHECKS[check_id]
+
+
+def run_check(
+    check_id: str, samples: int = 100_000, seed: int = 0, draw=None
+) -> VerificationReport:
+    """Run one check on ``draw``, its sampler's draw at (samples, seed), if given."""
+    sampler, check = _lookup(check_id, samples)
+    if draw is None:
+        rng = np.random.default_rng(seed)
+        draw = rng if sampler is None else sampler(rng, samples)
+    margins, columns = check(draw, samples)
     k = np.unravel_index(np.argmin(margins), margins.shape)
     worst = float(margins[k])
     witness = {name: col[k].tolist() for name, col in columns.items()}
     note = "descriptive only; not asserted" if check_id == "ultimate-A" else ""
-    return VerificationReport(
-        check_id=check_id,
-        samples=samples,
-        worst_margin=worst,
-        witness=witness,
-        passed=bool(worst >= MARGIN_FLOOR),
-        note=note,
-    )
+    passed = bool(worst >= MARGIN_FLOOR)
+    return VerificationReport(check_id, samples, worst, witness, passed, note)
+
+
+def run_checks(ids, samples: int = 100_000, seed: int = 0) -> list[VerificationReport]:
+    """Run the checks in the sequence ``ids``; return their reports in that order,
+    each equal to ``run_check``'s alone.  Checks of one sampler share one draw,
+    made outside every ``run_check`` call and dropped after the last of them."""
+    reports = {}
+    for sampler in dict.fromkeys(_lookup(cid, samples)[0] for cid in ids):
+        draw = None if sampler is None else sampler(np.random.default_rng(seed), samples)
+        group = [cid for cid in ids if _CHECKS[cid][0] is sampler]
+        reports.update({cid: run_check(cid, samples, seed, draw) for cid in group})
+        del draw
+    return [reports[cid] for cid in ids]

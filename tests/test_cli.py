@@ -237,6 +237,16 @@ def test_solver_argument_errors_exit_2(tmp_path, capsys, argv, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["0.5,0.1,3", "0.5"], ids=["three-values", "one-value"])
+def test_malformed_curve_file_names_the_line(tmp_path, capsys, bad):
+    curve, out = tmp_path / "curve.csv", tmp_path / "out.json"
+    curve.write_text(f"x,y\n0,0\n{bad}\n1,1\n")
+    argv = ["eigen", "power", "--map", "curve", "--curve-file", str(curve), "--out", str(out)]
+    assert cli.run(argv) == 2
+    assert f"line 3 is not 'x,y': {bad!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_check_exit_code(capsys):
     assert cli.run(["verify", "bogus"]) == 2
     capsys.readouterr()

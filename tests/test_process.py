@@ -195,25 +195,13 @@ def test_psi_series_matches_the_breadth_first_reference(bec55, kind):
         assert st.mean_inertia == pytest.approx(mean_a, rel=1e-13, abs=0)
 
 
-def _traced_peak(fn) -> int:
-    """Peak bytes traced by tracemalloc while fn runs, on every thread."""
-    import tracemalloc
-
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def test_psi_series_memory_is_bounded(bec55, traced_peak):
+    assert traced_peak(lambda: process.psi_expectation_series(bec55, 19)) < 16 * 2**20
 
 
-def test_psi_series_memory_is_bounded(bec55):
-    assert _traced_peak(lambda: process.psi_expectation_series(bec55, 19)) < 16 * 2**20
-
-
-def test_sample_paths_memory_is_bounded(bec55):
+def test_sample_paths_memory_is_bounded(bec55, traced_peak):
     # the choices are drawn block by block: no (count, depth) int64 matrix
-    assert _traced_peak(lambda: process.sample_paths(bec55, 40, 100_000, 3)) < 32 * 2**20
+    assert traced_peak(lambda: process.sample_paths(bec55, 40, 100_000, 3)) < 32 * 2**20
 
 
 @pytest.mark.parametrize("workers", [1, 3])

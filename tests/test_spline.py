@@ -101,3 +101,10 @@ def test_file_round_trip(tmp_path):
 def test_read_rejects_bad_header():
     with pytest.raises(ValueError):
         spline.read_spline(io.StringIO("a,b\n0,0\n1,1\n"))
+
+
+@pytest.mark.parametrize("text", ["x,y\n0,0\n\n1\n", "x,y\n0,0\n\n1,1,1\n", "x,y\n0,0\n\n1,a\n"])
+def test_read_names_the_bad_line(text):
+    # blank lines are skipped but still counted
+    with pytest.raises(ValueError, match="line 4 is not 'x,y'"):
+        spline.read_spline(io.StringIO(text))

@@ -95,8 +95,40 @@ def test_oracle_witness_on_zero_and_tied_gaps(monkeypatch):
 
 
 def test_run_all_covers_every_check():
-    reports = [verify.run_check(cid, samples=2000, seed=1) for cid in verify.CHECK_IDS]
+    reports = verify.run_checks(verify.CHECK_IDS, samples=2000, seed=1)
     assert [r.check_id for r in reports] == list(verify.CHECK_IDS)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_shared_draws_change_no_report(seed):
+    shared = verify.run_checks(verify.CHECK_IDS, 20_000, seed)
+    alone = [verify.run_check(cid, 20_000, seed) for cid in verify.CHECK_IDS]
+    assert [r.to_dict() for r in shared] == [r.to_dict() for r in alone]
+
+
+def test_run_checks_keeps_the_order_of_ids():
+    ids = ["conservation", "trap", "uniform-A"]
+    reports = verify.run_checks(ids, 2000, 3)
+    assert [r.check_id for r in reports] == ids
+    assert reports == [verify.run_check(cid, 2000, 3) for cid in ids]
+
+
+@pytest.mark.parametrize(
+    "ids, samples, error",
+    [(["uniform-A", "nonsense"], 10, UnknownCheck), (["uniform-A", "trap"], 0, ValueError)],
+    ids=["unknown-id", "no-samples"],
+)
+def test_run_checks_validates_before_any_check_runs(monkeypatch, ids, samples, error):
+    calls = []
+    monkeypatch.setattr(verify, "stratified_tecs", lambda *a: calls.append(a))
+    with pytest.raises(error):
+        verify.run_checks(ids, samples, 0)
+    assert calls == []
+
+
+def test_verify_all_memory_is_bounded(traced_peak):
+    # each shared draw is dropped after the last check that reads it
+    assert traced_peak(lambda: verify.run_checks(verify.CHECK_IDS, 100_000, 0)) < 20 * 2**20
 
 
 def test_stratified_sampler_shape_and_simplex(rng):
