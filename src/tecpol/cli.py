@@ -99,10 +99,6 @@ def _cmd_series(args) -> int:
 
 def _cmd_trap(args) -> int:
     result = trap.iterate_bound(args.mode, **_given(args, "nodes", "tol", "max_iters"))
-    if not result.converged:
-        sys.stderr.write(
-            f"warning: {args.mode} bound did not converge in {result.iterations} iterations\n"
-        )
     sys.stderr.write(f"{args.mode} bound: {result.iterations} iterations\n")
     with _output(args.out) as fh:
         spline.write_spline(result.curve, fh)

@@ -16,9 +16,9 @@ from typing import Callable
 import numpy as np
 
 from .channel import require_balanced
-from .errors import NoConvergence, OutOfRange
+from .errors import OutOfRange
 from .kernel import balanced_children
-from .spline import LinearSpline
+from .spline import LinearSpline, check_solver, fixed_point
 
 #: the worst-case one-step ratio certified for the 9/7 trap curve
 LEMMA_RATIO_BOUND = 0.818
@@ -116,7 +116,7 @@ def power_iterate(
     """Power iteration for the optimal eigenfunction of the child-entropy map
     on the edge-mass curve y = curve(x), a LinearSpline or any callable on
     arrays (``np.zeros_like`` for the BEC).  Raises InfeasiblePoint where y is
-    not feasible.
+    not feasible, and NoConvergence after ``max_iters`` steps.
 
     The grid is graded towards both endpoints (``_graded_grid``).  lambda is
     read off as the worst node-wise Rayleigh ratio of the converged
@@ -129,33 +129,27 @@ def power_iterate(
     """
     if not 0.0 < psi_exponent < math.inf:
         raise ValueError(f"psi_exponent must be positive and finite, got {psi_exponent!r}")
-    if nodes < 1000:
-        raise ValueError("need at least 1000 nodes")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
+    check_solver(nodes, 1000, tol, max_iters)
     grid = _graded_grid(nodes)
     y = curve(grid)
     require_balanced(grid, y)
     hp, hs = balanced_children(grid, y)[::2]
     hs = np.clip(hs, 0.0, 1.0)
     hp = np.clip(hp, 0.0, 1.0)
+
+    def step(psi):
+        nxt = np.interp(hs, grid, psi) + np.interp(hp, grid, psi)
+        return nxt / nxt.max()
+
     psi = (grid * (1.0 - grid)) ** psi_exponent
     psi /= psi.max()
-    for k in range(1, max_iters + 1):
-        nxt = np.interp(hs, grid, psi) + np.interp(hp, grid, psi)
-        nxt /= nxt.max()
-        delta = float(np.max(np.abs(nxt - psi)))
-        psi = nxt
-        if delta < tol:
-            lam = _rayleigh(psi, hs, hp, grid, PSI_FLOOR)
-            return PowerIterationResult(
-                lam=lam,
-                mu=mu_from_lambda(lam),
-                eigenfunction=LinearSpline(grid, psi),
-                iterations=k,
-                residual=delta,
-                concave=_is_concave(grid, psi),
-            )
-    raise NoConvergence(f"power iteration did not reach tol={tol} in {max_iters} steps")
+    psi, iterations, residual = fixed_point(step, psi, tol, max_iters, "power iteration")
+    lam = _rayleigh(psi, hs, hp, grid, PSI_FLOOR)
+    return PowerIterationResult(
+        lam=lam,
+        mu=mu_from_lambda(lam),
+        eigenfunction=LinearSpline(grid, psi),
+        iterations=iterations,
+        residual=residual,
+        concave=_is_concave(grid, psi),
+    )

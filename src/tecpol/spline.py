@@ -1,18 +1,18 @@
 """Piecewise-linear functions on [0, 1].
 
-These carry the iterated trap bounds and eigenfunctions.  Evaluation clamps
-outside the node range, since the entropy maps can land at 0 or 1 up to
-rounding.
+These carry the iterated trap bounds and eigenfunctions, and ``fixed_point``
+is the one iteration rule both solvers run on.  Evaluation clamps outside the
+node range, since the entropy maps can land at 0 or 1 up to rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TextIO
+from typing import Callable, TextIO
 
 import numpy as np
 
-from .errors import NotMonotone
+from .errors import NoConvergence, NotMonotone
 
 #: Monotonicity violations up to this size are treated as floating noise and
 #: pooled away; anything larger is a real modeling error and raises.
@@ -61,6 +61,28 @@ def compose_through_inverse(
     cleaned = np.maximum.accumulate(h_vals)
     keep = np.concatenate(([True], np.diff(cleaned) > 0))
     return np.interp(grid, cleaned[keep], e_vals[keep])
+
+
+def check_solver(nodes: int, min_nodes: int, tol: float, max_iters: int) -> None:
+    """Reject solver arguments before any work is done."""
+    if nodes < min_nodes:
+        raise ValueError(f"need at least {min_nodes} nodes")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+
+
+def fixed_point(step: Callable, values: np.ndarray, tol: float, max_iters: int, what: str):
+    """Run ``values = step(values)`` until the sup-norm change is below ``tol``;
+    return (values, iterations, last_delta) or raise NoConvergence naming ``what``."""
+    for k in range(1, max_iters + 1):
+        nxt = step(values)
+        delta = float(np.max(np.abs(nxt - values)))
+        values = nxt
+        if delta < tol:
+            return values, k, delta
+    raise NoConvergence(f"{what} did not reach tol={tol} in {max_iters} steps")
 
 
 def write_spline(f: LinearSpline, fh: TextIO) -> None:

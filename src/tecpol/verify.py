@@ -167,11 +167,10 @@ def _check_inner_q(draw, samples):
 def _check_uniform_q(draw, samples):
     eps, x, y, b, q_s, q_p = draw
     goal = b * (1.0 + eps / 8.0)
-    margins = np.full(samples, np.inf)
-    hi = x >= 1.0 / 3.0
-    lo = x <= 2.0 / 3.0
-    margins[hi] = q_s[hi] - goal[hi]
-    margins[lo] = np.minimum(margins[lo], q_p[lo] - goal[lo])
+    margins = np.minimum(
+        np.where(x >= 1.0 / 3.0, q_s - goal, np.inf),
+        np.where(x <= 2.0 / 3.0, q_p - goal, np.inf),
+    )
     return margins, {"x": x, "y": y, "eps": eps}
 
 

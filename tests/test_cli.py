@@ -185,13 +185,27 @@ def test_fig3_command(capsys):
 
 def test_fig2_command(tmp_path, capsys):
     prefix = str(tmp_path / "fig2")
-    args = ["fig2", "--depth", "3", "--nodes", "2000", "--out-prefix", prefix]
+    # 3k nodes is about the coarsest grid on which the inner bound converges
+    args = ["fig2", "--depth", "3", "--nodes", "3000", "--out-prefix", prefix]
     assert cli.run(args) == 0
     curves = Path(prefix + "_curves.csv").read_text().splitlines()
     scatter = Path(prefix + "_scatter.csv").read_text().splitlines()
     assert curves[0] == "x,outer_parabola,outer_numeric,inner_numeric,alpha_parabola"
+    row = dict(zip(curves[0].split(","), map(float, curves[51].split(","))))
+    assert row["x"] == 0.5
+    assert row["inner_numeric"] == pytest.approx(0.39295, abs=0.005)
     assert scatter[0] == "path,H,E,A"
     assert len(scatter) == 9
+
+
+def test_fig2_without_convergence_exits_2_and_writes_nothing(tmp_path, capsys):
+    # at 2k nodes the inner iterate drains toward zero instead of converging
+    prefix = tmp_path / "fig2"
+    args = ["fig2", "--depth", "3", "--nodes", "2000", "--out-prefix", str(prefix)]
+    assert cli.run(args) == 2
+    assert "inner bound did not reach" in capsys.readouterr().err
+    assert not (tmp_path / "fig2_curves.csv").exists()
+    assert not (tmp_path / "fig2_scatter.csv").exists()
 
 
 def test_usage_error_exit_code(capsys):
@@ -206,6 +220,8 @@ def test_usage_error_exit_code(capsys):
     [
         (["trap", "--mode", "inner", "--max-iters", "0"], "max_iters"),
         (["trap", "--mode", "inner", "--max-iters", "-5"], "max_iters"),
+        (["trap", "--mode", "inner", "--max-iters", "3"], "did not reach"),
+        (["trap", "--mode", "inner", "--tol", "0"], "tol"),
         (["eigen", "power", "--tol", "0"], "tol"),
         (["eigen", "power", "--max-iters", "0"], "max_iters"),
         (["eigen", "power", "--psi-exponent", "-1"], "psi_exponent"),
@@ -219,6 +235,8 @@ def test_usage_error_exit_code(capsys):
     ids=[
         "trap-max-iters-0",
         "trap-max-iters-negative",
+        "trap-no-convergence",
+        "trap-tol-0",
         "eigen-tol-0",
         "eigen-max-iters-0",
         "eigen-psi-exponent-negative",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tecpol import spline
-from tecpol.errors import NotMonotone
+from tecpol.errors import NoConvergence, NotMonotone
 from tecpol.spline import LinearSpline
 
 
@@ -108,3 +108,23 @@ def test_read_names_the_bad_line(text):
     # blank lines are skipped but still counted
     with pytest.raises(ValueError, match="line 4 is not 'x,y'"):
         spline.read_spline(io.StringIO(text))
+
+
+def _halve(values):
+    return values / 2.0
+
+
+def test_fixed_point_stops_at_first_step_below_tol():
+    # the k-th halving of ones moves by 2^-k; 2^-10 is the first below 1e-3
+    values, iterations, delta = spline.fixed_point(_halve, np.ones(3), 1e-3, 100, "halving")
+    assert iterations == 10
+    assert delta == 2.0**-10
+    np.testing.assert_array_equal(values, np.full(3, 2.0**-10))
+    # a change equal to tol is not below it
+    assert spline.fixed_point(_halve, np.ones(3), 2.0**-10, 100, "halving")[1:] == (11, 2.0**-11)
+
+
+def test_fixed_point_raises_after_max_iters():
+    with pytest.raises(NoConvergence, match=r"^halving did not reach tol=0.001 in 5 steps$"):
+        spline.fixed_point(_halve, np.ones(3), 1e-3, 5, "halving")
+
