@@ -277,10 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process, as argparse takes ms to build; lazy, so import stays cheap
+_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

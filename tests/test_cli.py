@@ -270,6 +270,24 @@ def test_unknown_check_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_cached_parser_carries_nothing_between_runs(tmp_path, capsys):
+    # run() parses with one parser per process: neither the options of an
+    # earlier run nor a parse error may leak into the next run
+    a, b, fresh = (tmp_path / name for name in ("a.json", "b.json", "fresh.json"))
+    assert cli.run(["eigen", "power", "--map", "alpha", "--nodes", "2000", "--out", str(a)]) == 0
+    assert cli.run(["trap"]) == 2
+    assert cli.run(["eigen", "power", "--out", str(b)]) == 0
+    capsys.readouterr()
+    assert json.loads(a.read_text())["nodes"] == 2000
+    got = json.loads(b.read_text())
+    assert (got["nodes"], got["iterations"]) == (10_000, 52)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "tecpol.cli", "eigen", "power", "--out", str(fresh)]
+    subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert got["mu"] == json.loads(fresh.read_text())["mu"]
+    assert cli.build_parser() is not cli.build_parser()
+
+
 def test_cli_import_leaves_the_thread_pool_unloaded():
     # concurrent.futures and its logging import cost about 11 ms, which
     # every CLI start would pay; the pool is imported when blocks run on it

