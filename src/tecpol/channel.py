@@ -69,7 +69,7 @@ def new_tec(p: float, q: float, r: float, s: float, t: float) -> TecChannel:
     for name, v in zip(_FIELDS, comps):
         if not math.isfinite(v):
             raise OutOfRange(f"component {name} is not finite")
-        if v < -SIMPLEX_TOL or v > 1.0 + SIMPLEX_TOL:
+        if v < -SIMPLEX_TOL:
             raise NegativeComponent(name, v)
     total = sum(comps)
     if abs(total - 1.0) > SIMPLEX_TOL:

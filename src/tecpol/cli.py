@@ -53,10 +53,11 @@ def _print_functionals(w: channel.TecChannel, fh) -> None:
     fh.write(f"edge_heavy = {f.is_edge_heavy}\n")
 
 
-def _given(args, *names) -> dict:
-    """The named solver options given on the command line; the solver's own
-    defaults stand for the rest."""
-    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+def _given(args) -> dict:
+    """The solver options given on the command line; the solver's own defaults
+    stand for the rest.  A command's parser declares only the ones it reads."""
+    names = ("nodes", "tol", "max_iters", "psi_exponent")
+    return {n: v for n in names if (v := getattr(args, n, None)) is not None}
 
 
 def _cmd_show(args) -> int:
@@ -90,7 +91,7 @@ def _cmd_series(args) -> int:
         parse_channel_spec(args.channel),
         args.depth,
         process.KernelKind(args.kernel),
-        **_given(args, "psi_exponent"),
+        **_given(args),
     )
     with _output(args.out) as fh:
         process.write_series_csv(stats, fh)
@@ -98,26 +99,14 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_trap(args) -> int:
-    result = trap.iterate_bound(args.mode, **_given(args, "nodes", "tol", "max_iters"))
+    result = trap.iterate_bound(args.mode, **_given(args))
     sys.stderr.write(f"{args.mode} bound: {result.iterations} iterations\n")
     with _output(args.out) as fh:
         spline.write_spline(result.curve, fh)
     return 0
 
 
-def _cmd_eigen(args) -> int:
-    if args.action == "verify-lemma":
-        max_ratio, argmax_x = eigen.verify_lemma_eigen(**_given(args, "nodes"))
-        payload = {
-            "max_ratio": max_ratio,
-            "argmax_x": argmax_x,
-            "bound": eigen.LEMMA_RATIO_BOUND,
-            "pass": max_ratio < eigen.LEMMA_RATIO_BOUND,
-        }
-        with _output(args.out) as fh:
-            fh.write(json.dumps(payload) + "\n")
-        return 0 if payload["pass"] else 1
-    # power iteration
+def _cmd_power(args) -> int:
     if args.map == "bec":
         curve = np.zeros_like
     elif args.map == "alpha":
@@ -127,9 +116,7 @@ def _cmd_eigen(args) -> int:
             raise ValueError("--curve-file is required with --map curve")
         with open(args.curve_file) as fh:
             curve = spline.read_spline(fh)
-    result = eigen.power_iterate(
-        curve, **_given(args, "psi_exponent", "nodes", "tol", "max_iters")
-    )
+    result = eigen.power_iterate(curve, **_given(args))
     payload = {
         "lambda": result.lam,
         "mu": result.mu,
@@ -146,6 +133,19 @@ def _cmd_eigen(args) -> int:
     return 0
 
 
+def _cmd_verify_lemma(args) -> int:
+    max_ratio, argmax_x = eigen.verify_lemma_eigen(**_given(args))
+    payload = {
+        "max_ratio": max_ratio,
+        "argmax_x": argmax_x,
+        "bound": eigen.LEMMA_RATIO_BOUND,
+        "pass": max_ratio < eigen.LEMMA_RATIO_BOUND,
+    }
+    with _output(args.out) as fh:
+        fh.write(json.dumps(payload) + "\n")
+    return 0 if payload["pass"] else 1
+
+
 def _cmd_verify(args) -> int:
     ids = verify.CHECK_IDS if args.check == "all" else (args.check,)
     reports = verify.run_checks(ids, args.samples, args.seed)
@@ -159,7 +159,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_fig2(args) -> int:
     grid = np.linspace(0.0, 1.0, args.plot_points)
-    options = _given(args, "nodes", "tol", "max_iters")
+    options = _given(args)
     phi = trap.iterate_bound("inner", **options).curve(grid)
     chi = trap.iterate_bound("outer", **options).curve(grid)
     with open(f"{args.out_prefix}_curves.csv", "w") as fh:
@@ -183,12 +183,12 @@ def _cmd_fig2(args) -> int:
 
 def _cmd_fig3(args) -> int:
     root = parse_channel_spec(args.channel)
-    exponent = _given(args, "psi_exponent")
+    options = _given(args)
     twist = process.psi_expectation_series(
-        root, args.depth, process.KernelKind.QUATERNARY_TWIST, **exponent
+        root, args.depth, process.KernelKind.QUATERNARY_TWIST, **options
     )
     base = process.psi_expectation_series(
-        root, args.depth, process.KernelKind.UNTWISTED_BASELINE, **exponent
+        root, args.depth, process.KernelKind.UNTWISTED_BASELINE, **options
     )
     with _output(args.out) as fh:
         fh.write("n,twist,untwisted\n")
@@ -204,74 +204,68 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, channel_arg=True):
-        if channel_arg:
-            p.add_argument("channel", help="tec:p,q,r,s,t | becpair:d,e | qec:e")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+    # option groups, each declared once and listed in parents= by the commands that
+    # read it; they share the Action objects, so no set_defaults may name their dests
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output path (default stdout)")
+    chan = argparse.ArgumentParser(add_help=False)
+    chan.add_argument("channel", help="tec:p,q,r,s,t | becpair:d,e | qec:e")
+    root = argparse.ArgumentParser(add_help=False)
+    root.add_argument("channel", nargs="?", default="becpair:0.55,0.55")
+    nodes = argparse.ArgumentParser(add_help=False)
+    nodes.add_argument("--nodes", type=int, default=None)
+    solver = argparse.ArgumentParser(add_help=False, parents=[nodes])
+    solver.add_argument("--tol", type=float, default=None)
+    solver.add_argument("--max-iters", type=int, default=None)
+    psi = argparse.ArgumentParser(add_help=False)
+    psi.add_argument("--psi-exponent", type=float, default=None)
 
-    p = sub.add_parser("show", help="print channel functionals")
-    add_common(p)
+    p = sub.add_parser("show", parents=[chan, out], help="print channel functionals")
     p.set_defaults(func=_cmd_show)
 
-    p = sub.add_parser("children", help="print both twisted children")
-    add_common(p)
+    p = sub.add_parser("children", parents=[chan, out], help="print both twisted children")
     p.set_defaults(func=_cmd_children)
 
-    p = sub.add_parser("scatter", help="descendant scatter CSV")
-    add_common(p)
+    p = sub.add_parser("scatter", parents=[chan, out], help="descendant scatter CSV")
     p.add_argument("--depth", type=int, default=10)
     p.add_argument("--kernel", choices=("twist", "untwisted"), default="twist")
     p.set_defaults(func=_cmd_scatter)
 
-    p = sub.add_parser("series", help="per-generation expectation CSV")
-    add_common(p)
+    p = sub.add_parser("series", parents=[chan, out, psi], help="per-generation expectation CSV")
     p.add_argument("--depth", type=int, default=20)
     p.add_argument("--kernel", choices=("twist", "untwisted"), default="twist")
-    p.add_argument("--psi-exponent", type=float, default=None)
     p.set_defaults(func=_cmd_series)
 
-    p = sub.add_parser("trap", help="iterate a numerical trap bound")
-    add_common(p, channel_arg=False)
+    p = sub.add_parser("trap", parents=[out, solver], help="iterate a numerical trap bound")
     p.add_argument("--mode", choices=("inner", "outer"), required=True)
-    p.add_argument("--nodes", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iters", type=int, default=None)
     p.set_defaults(func=_cmd_trap)
 
     p = sub.add_parser("eigen", help="eigenvalue certificates")
-    p.add_argument("action", choices=("verify-lemma", "power"))
+    actions = p.add_subparsers(dest="action", required=True)
+
+    p = actions.add_parser("power", parents=[out, solver, psi], help="lambda and mu")
     p.add_argument("--map", choices=("bec", "alpha", "curve"), default="bec")
     p.add_argument("--curve-file", default=None)
-    p.add_argument("--nodes", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--psi-exponent", type=float, default=None)
     p.add_argument("--eigenfunction-out", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_eigen)
+    p.set_defaults(func=_cmd_power)
 
-    p = sub.add_parser("verify", help="run theorem checks")
+    p = actions.add_parser("verify-lemma", parents=[out, nodes], help="ratio certificate")
+    p.set_defaults(func=_cmd_verify_lemma)
+
+    p = sub.add_parser("verify", parents=[out], help="run theorem checks")
     p.add_argument("check", choices=verify.CHECK_IDS + ("all",))
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("fig2", help="trap curves plus descendant scatter")
-    p.add_argument("channel", nargs="?", default="becpair:0.55,0.55")
+    p = sub.add_parser("fig2", parents=[root, solver], help="trap curves plus descendant scatter")
     p.add_argument("--depth", type=int, default=10)
-    p.add_argument("--nodes", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--plot-points", type=int, default=101)
     p.add_argument("--out-prefix", default="fig2")
     p.set_defaults(func=_cmd_fig2)
 
-    p = sub.add_parser("fig3", help="slope series for both kernels")
-    p.add_argument("channel", nargs="?", default="becpair:0.55,0.55")
+    p = sub.add_parser("fig3", parents=[root, out, psi], help="slope series for both kernels")
     p.add_argument("--depth", type=int, default=20)
-    p.add_argument("--psi-exponent", type=float, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_fig3)
 
     return parser

@@ -27,9 +27,9 @@ class InfeasiblePoint(TecError):
 
 
 class NotMonotone(TecError):
-    def __init__(self, index: int, message: str = ""):
+    def __init__(self, index: int):
         self.index = index
-        super().__init__(message or f"values are not monotone; first violation at index {index}")
+        super().__init__(f"values are not monotone; first violation at index {index}")
 
 
 class DepthTooLarge(TecError):

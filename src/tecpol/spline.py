@@ -45,17 +45,14 @@ def compose_through_inverse(
 ) -> np.ndarray:
     """Evaluate x -> e(h^{-1}(x)) on ``grid`` from parallel samples of h and e.
 
-    ``h_vals`` must be monotone up to floating noise; this is the single-pass
-    spline inversion the trap iteration relies on.  Decreasing samples are
-    reversed first; strictly increasing ones skip pooling.  Dips up to
-    NOISE_TOL are pooled; a larger dip raises NotMonotone with the first
-    offending index.  Pooled plateaus keep only their first node, so the
-    inverse has strictly increasing abscissae.
+    ``h_vals`` must increase up to floating noise; this is the single-pass
+    spline inversion the trap iteration relies on.  Strictly increasing
+    samples skip pooling.  Dips up to NOISE_TOL are pooled; a larger dip
+    raises NotMonotone with the first offending index.  Pooled plateaus keep
+    only their first node, so the inverse has strictly increasing abscissae.
     """
     h_vals = np.asarray(h_vals, dtype=float)
     e_vals = np.asarray(e_vals, dtype=float)
-    if h_vals[-1] < h_vals[0]:
-        h_vals, e_vals = h_vals[::-1], e_vals[::-1]
     step = np.diff(h_vals)
     if np.all(step > 0.0):
         return np.interp(grid, h_vals, e_vals)

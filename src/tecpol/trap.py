@@ -8,14 +8,13 @@ outer bound if the region below it is.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
 from .channel import EDGE_HEAVY_THRESHOLD
-from .errors import UnknownCurve
+from .errors import NoConvergence, UnknownCurve
 from .kernel import balanced_children
 from .spline import LinearSpline, check_solver, compose_through_inverse, fixed_point
 
@@ -67,13 +66,22 @@ def iterate_bound(
     Both iterations start from the outer parabola 2x(1-x); the inner one
     contracts with a node-wise min, the outer with a max, and stop when the
     sup distance between consecutive iterates drops below ``tol``, or raise
-    NoConvergence: below about 3k nodes the inner iterate drains toward zero.
+    NoConvergence.  Below about 3k nodes the inner iterate drains toward zero;
+    it raises as soon as it falls below the alpha parabola, which phi stays above.
     """
     if mode not in ("inner", "outer"):
         raise ValueError(f"mode must be 'inner' or 'outer', got {mode!r}")
     check_solver(nodes, 100, tol, max_iters)
     grid = np.linspace(0.0, 1.0, nodes)
     start = analytic_curve("outer_parabola", grid)
-    step = functools.partial(_iterate_once, grid, mode=mode)
+    floor = analytic_curve("alpha_parabola", grid) if mode == "inner" else None
+
+    def step(curve):
+        nxt = _iterate_once(grid, curve, mode)
+        if floor is not None and np.any(nxt < floor):
+            raise NoConvergence(f"inner bound did not reach tol={tol}: the iterate"
+                                " fell below the alpha parabola, which phi stays above")
+        return nxt
+
     curve, iterations, _ = fixed_point(step, start, tol, max_iters, f"{mode} bound")
     return BoundIteration(LinearSpline(grid, curve), iterations)

@@ -48,7 +48,7 @@ def test_new_tec_rejects_bad_sum():
 def test_new_tec_rejects_negative_component():
     with pytest.raises(NegativeComponent) as exc:
         channel.new_tec(1.1, -0.1, 0, 0, 0)
-    assert exc.value.field in ("p", "q")
+    assert exc.value.field == "q"
 
 
 def test_new_tec_renormalizes_tiny_drift():

@@ -126,6 +126,34 @@ def test_eigen_verify_lemma(capsys):
     assert payload["max_ratio"] < payload["bound"]
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--map", "curve"),
+        ("--curve-file", "curve.csv"),
+        ("--tol", "0"),
+        ("--max-iters", "0"),
+        ("--psi-exponent", "0"),
+        ("--eigenfunction-out", "psi.csv"),
+    ],
+)
+def test_verify_lemma_rejects_power_options(tmp_path, monkeypatch, capsys, option, value):
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(["eigen", "verify-lemma", option, value, "--out", "lemma.json"]) == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["show", "children", "scatter", "series", "trap", "eigen", "eigen power",
+     "eigen verify-lemma", "verify", "fig2", "fig3"],
+)
+def test_help_exits_0(capsys, command):
+    assert cli.run(command.split() + ["--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: tecpol {command} ")
+
+
 def test_eigen_power_bec(capsys):
     assert cli.run(["eigen", "power", "--map", "bec", "--nodes", "5000"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -49,8 +49,11 @@ def test_inverse_swaps_coordinates():
 
 
 def test_inverse_decreasing():
-    got = spline.compose_through_inverse([1.0, 0.0], [0.0, 1.0], [0.0, 1.0])
-    np.testing.assert_allclose(got, [1.0, 0.0])
+    # the trap's entropy maps run from 0 at x = 0 to 1 at x = 1; a decreasing
+    # h is a modeling error, not an input to reverse
+    with pytest.raises(NotMonotone) as exc:
+        spline.compose_through_inverse([1.0, 0.0], [0.0, 1.0], [0.0, 1.0])
+    assert exc.value.index == 0
 
 
 def test_inverse_rejects_non_monotone():
@@ -75,8 +78,10 @@ def test_inverse_of_increasing_samples_is_plain_interpolation(rng):
     grid = np.linspace(0.0, 1.0, 101)
     want = np.interp(grid, h, e)
     np.testing.assert_array_equal(spline.compose_through_inverse(h, e, grid), want)
-    # decreasing samples are reversed, then read the same way
-    np.testing.assert_array_equal(spline.compose_through_inverse(h[::-1], e[::-1], grid), want)
+    # the same samples in decreasing order are rejected, not reversed
+    with pytest.raises(NotMonotone) as exc:
+        spline.compose_through_inverse(h[::-1], e[::-1], grid)
+    assert exc.value.index == 0
 
 
 def test_inverse_pools_an_exact_plateau_to_its_first_node():

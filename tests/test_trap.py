@@ -191,3 +191,19 @@ def test_very_coarse_grid_decays_instead_of_converging():
     # the solver refuses to return the decayed curve
     with pytest.raises(NoConvergence, match="inner bound did not reach"):
         trap.iterate_bound("inner", nodes=2000, tol=1e-6, max_iters=300)
+
+
+def test_drained_inner_bound_fails_fast(monkeypatch):
+    # phi stays above the alpha parabola, so the first iterate below it ends
+    # the run long before the default 2,000 steps (at 2k nodes, step 748)
+    calls = []
+    step = trap._iterate_once
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(trap, "_iterate_once", counted)
+    with pytest.raises(NoConvergence, match="did not reach tol=1e-06: the iterate fell below"):
+        trap.iterate_bound("inner", nodes=2000)
+    assert 0 < len(calls) < 1000
