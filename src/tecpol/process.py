@@ -2,7 +2,9 @@
 
 A generation is kept as a column-major (N, 5) float array; children are
 produced in the fixed order serial-then-parallel, so path strings sorted with
-s < p coincide with array order.  Results are ``Descendants`` tables.
+s < p coincide with array order.  Results are ``Descendants`` tables.  Their
+scatter CSV is formatted in numpy, byte-identical to ``%.6g``; Python's %
+formats only near-ties and non-finite values.
 
 The psi series and sampling split their rows into blocks of ``_BLOCK_ROWS``
 and run the blocks on a thread pool; numpy releases the GIL inside its loops,
@@ -21,7 +23,6 @@ import operator
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -93,14 +94,6 @@ class Descendants:
 
     def __iter__(self):
         return map(DescendantRecord, self.entropy)
-
-    def paths(self) -> list[str]:
-        """Every path string, decoded at once."""
-        n, depth = self.path_chars.shape
-        if depth == 0:
-            return [""] * n
-        rows = np.ascontiguousarray(self.path_chars).view(f"S{depth}")
-        return rows.ravel().astype(f"U{depth}").tolist()
 
 
 @dataclass(frozen=True)
@@ -243,11 +236,60 @@ def sample_paths(
     return Descendants(out.T, chars)
 
 
+_G6_WIDTH = 23  # bytes of one template: sign, "0.000", 6 digits each with a point, "e+ddd"
+# The constants below are columns, so that they broadcast against a row of values.
+_DIGIT = np.arange(6, dtype=np.uint8)[:, None]  # the index of each digit slot
+_PREFIX = np.frombuffer(b"0.000", np.uint8)[:, None]  # what 0.0001 <= |v| < 1 prints first
+_BELOW = np.array([[0], [0], [-1], [-2], [-3]])  # each _PREFIX byte shows below this exponent
+_PLACE = np.array([[100], [10], [1]], np.uint16)  # the place value of each exponent digit
+
+
+def _format_g6(values: np.ndarray) -> np.ndarray:
+    """``"%.6g" % v`` of each float64 as uint8 (N, _G6_WIDTH) slots: the sign,
+    "0.000", six digits each with a point after it, "e+ddd", NUL where unused.
+    The digits are rint(r), r = |v| * 10**(5 - floor(log10 |v|)); 10**6 carries
+    a decade.  r takes four roundings, so rint(r) is printf's unless r is within
+    1e-6 of a tie: those, r outside [1e5, 1e6) and non-finite values use %."""
+    a = np.abs(values)
+    with np.errstate(invalid="ignore"):
+        e = np.floor(np.log10(np.where(a == 0.0, 1.0, a)))
+        r = a * 10.0 ** np.floor((5.0 - e) / 2) * 10.0 ** np.ceil((5.0 - e) / 2)
+        slow = (a != 0.0) & ~((r >= 1e5) & (r < 1e6) & (np.abs(r - np.floor(r) - 0.5) > 1e-6))
+    carry = np.rint(r) == 1e6  # the digits 100000, a decade up
+    m = np.where(slow, 0.0, np.where(carry, 1e5, np.rint(r))).astype(np.int32)
+    x = np.where(slow, 0.0, e + carry).astype(np.int32)  # the printed exponent
+    digits = np.array([m // 10 ** (5 - i) % 10 for i in range(6)], np.uint8)
+    last = ((digits != 0) * _DIGIT).max(axis=0)  # the last nonzero digit
+    fixed = (x >= -4) & (x < 6)
+    point = np.where(fixed, x, 0)  # the digit the point follows, if any
+    t = np.empty((_G6_WIDTH, len(values)), np.uint8)
+    t[0] = np.signbit(values) * np.uint8(ord("-"))
+    t[1:6] = (fixed & (x < _BELOW)) * _PREFIX
+    t[6:18:2] = (digits + np.uint8(ord("0"))) * (np.maximum(last, point) >= _DIGIT)
+    t[7:18:2] = ((point == _DIGIT) & (last > _DIGIT)) * np.uint8(ord("."))
+    sci = ~fixed
+    ax = np.abs(x).astype(np.uint16)
+    t[18] = sci * np.uint8(ord("e"))
+    t[19] = sci * np.where(x < 0, np.uint8(ord("-")), np.uint8(ord("+")))
+    t[20:23] = (ax // _PLACE % 10 + ord("0")) * (sci & (np.maximum(ax, 10) >= _PLACE))
+    for i in np.flatnonzero(slow):
+        t[:, i] = np.frombuffer(("%.6g" % values[i]).encode().ljust(_G6_WIDTH, b"\0"), np.uint8)
+    return t.T
+
+
 def write_scatter_csv(table: Descendants, fh) -> None:
-    """One ``path,H,E,A`` line per row, formatted in one pass and written once."""
-    hea = (table.entropy.tolist(), table.edge_mass.tolist(), table.inertia.tolist())
-    fields = tuple(chain.from_iterable(zip(table.paths(), *hea)))
-    fh.write("path,H,E,A\n" + "%s,%.6g,%.6g,%.6g\n" * len(table) % fields)
+    """One ``path,H,E,A`` line per row, laid out in numpy and byte-identical to
+    ``%.6g``; Python's % formats only near-ties and non-finite values."""
+    n, depth = table.path_chars.shape
+    buf = bytearray(n * (depth + 3 * _G6_WIDTH + 4))  # drops its NULs without a copy
+    text = np.frombuffer(buf, np.uint8).reshape(n, -1)
+    text[:, :depth] = table.path_chars
+    text[:, depth :: _G6_WIDTH + 1] = np.frombuffer(b",,,\n", np.uint8)
+    for j, col in enumerate((table.entropy, table.edge_mass, table.inertia)):
+        start = depth + 1 + j * (_G6_WIDTH + 1)
+        text[:, start : start + _G6_WIDTH] = _format_g6(col)
+    fh.write("path,H,E,A\n")
+    fh.write(buf.translate(None, b"\0").decode("ascii"))
 
 
 def write_series_csv(stats: Sequence[GenerationStats], fh) -> None:

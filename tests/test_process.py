@@ -1,8 +1,10 @@
+import io
 import math
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tecpol import kernel, process
 from tecpol.channel import TecChannel, balanced_tuple, from_bec_pair, functionals, new_tec
@@ -15,6 +17,11 @@ BASE = KernelKind.UNTWISTED_BASELINE
 
 def channels(table):
     return [kernel.tec_from_row(row) for row in table.rows]
+
+
+def paths(table):
+    """Every path string of a table, decoded row by row from its characters."""
+    return [row.tobytes().decode("ascii") for row in table.path_chars]
 
 
 def same_table(a, b):
@@ -43,13 +50,13 @@ def test_evolve_orders_serial_then_parallel(bec55):
 def test_enumerate_depth_zero(bec55):
     table = process.enumerate_descendants(bec55, 0)
     assert len(table) == 1
-    assert table.paths() == [""]
+    assert paths(table) == [""]
     assert channels(table) == [bec55]
 
 
 def test_enumerate_depth_two_conservation(bec55):
     table = process.enumerate_descendants(bec55, 2)
-    assert table.paths() == ["ss", "sp", "ps", "pp"]
+    assert paths(table) == ["ss", "sp", "ps", "pp"]
     assert sum(r.entropy for r in table) == pytest.approx(4 * 0.55, abs=1e-12)
 
 
@@ -68,7 +75,7 @@ def test_entropy_mean_is_conserved(bec55):
 def test_untwisted_descendants_follow_scalar_bec_recursion(bec55):
     depth = 8
     table = process.enumerate_descendants(bec55, depth, BASE)
-    for path, row in zip(table.paths(), table.rows, strict=True):
+    for path, row in zip(paths(table), table.rows, strict=True):
         eps = 0.55
         for c in path:
             eps = 2 * eps - eps * eps if c == "s" else eps * eps
@@ -120,7 +127,7 @@ def test_every_descendant_obeys_uniform_inertia_loss(bec55):
 def test_sample_paths_depth_zero(bec55):
     table = process.sample_paths(bec55, 0, 5, seed=7)
     assert len(table) == 5
-    assert channels(table) == [bec55] * 5 and table.paths() == [""] * 5
+    assert channels(table) == [bec55] * 5 and paths(table) == [""] * 5
 
 
 def test_sample_paths_deterministic(bec55):
@@ -276,7 +283,7 @@ def test_enumerated_paths_match_per_index_decode(bec55):
     for depth in range(11):
         table = process.enumerate_descendants(bec55, depth)
         want = [_index_path(i, depth) for i in range(2**depth)]
-        assert table.paths() == want
+        assert paths(table) == want
 
 
 @pytest.mark.parametrize("depth", [0, 40])
@@ -285,7 +292,7 @@ def test_sampled_paths_match_the_seeded_choices(bec55, depth):
     table = process.sample_paths(bec55, depth, count, seed)
     choices = np.random.default_rng(seed).integers(0, 2, size=(count, depth))
     want = ["".join("p" if b else "s" for b in row) for row in choices]
-    assert table.paths() == want
+    assert paths(table) == want
 
 
 def test_iterating_a_table_yields_its_entropies(bec55):
@@ -321,6 +328,67 @@ def test_scatter_csv_matches_per_record_reference(bec55):
     buf = io.StringIO()
     process.write_scatter_csv(process.enumerate_descendants(bec55, 10), buf)
     assert buf.getvalue() == "".join(want)
+
+
+# --- the %.6g formatter and the scatter CSV ---------------------------------
+
+
+def _g6(values):
+    """The text of each row of the formatter's templates."""
+    rows = process._format_g6(np.array(values, dtype=np.float64))
+    return [row[row != 0].tobytes() for row in rows]
+
+
+def test_format_g6_edge_cases():
+    values = [
+        0.0, -0.0, 5e-324, 1e-323, 2.2250738585072014e-308,  # zeros, subnormals
+        2.0**-10, 0.5**20, 123456.5, 1234565.0,  # exact ties, rounded half-even
+        0.9999995, 0.99999999999, 999999.5, 9.9999996e-5, 99999.95,  # carries
+        1e-5, 1e-4, 9.99999e-5, 0.001, 0.1, 1e5, 1e6, 999999.0,  # the notation switches
+        1e-100, 1e100, 1.7976931348623157e308, 1e-308,  # three-digit exponents
+        -1.5, -0.9999995, -1e-100, -2.0**-10, -5e-324,  # negative values
+        float("inf"), float("-inf"), float("nan"),
+    ]
+    assert _g6(values) == [("%.6g" % v).encode() for v in values]
+
+
+@settings(derandomize=True, max_examples=1000)
+@given(st.floats())
+def test_format_g6_matches_the_percent_format(v):
+    # st.floats() draws NaN, infinities, signed zeros and subnormals
+    assert _g6([v]) == [("%.6g" % v).encode()]
+
+
+def _percent_scatter_csv(table, fh):
+    """The scatter CSV formatted by Python's % in one pass: the reference."""
+    hea = (table.entropy.tolist(), table.edge_mass.tolist(), table.inertia.tolist())
+    fields = tuple(value for row in zip(paths(table), *hea) for value in row)
+    fh.write("path,H,E,A\n" + "%s,%.6g,%.6g,%.6g\n" * len(table) % fields)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda root: process.enumerate_descendants(root, 16, TWIST),
+        lambda root: process.enumerate_descendants(root, 16, BASE),
+        lambda root: process.sample_paths(root, 40, 100_000, 3),
+        lambda root: process.enumerate_descendants(root, 0),
+        lambda root: process.sample_paths(root, 0, 3, 1),
+    ],
+    ids=["twist-16", "untwisted-16", "sampled-40", "depth-0", "sampled-depth-0"],
+)
+def test_scatter_csv_matches_the_percent_format(bec55, make):
+    table = make(bec55)
+    got, want = io.StringIO(), io.StringIO()
+    process.write_scatter_csv(table, got)
+    _percent_scatter_csv(table, want)
+    assert got.getvalue() == want.getvalue()
+
+
+def test_scatter_csv_memory_is_bounded(bec55, traced_peak, tmp_path):
+    table = process.enumerate_descendants(bec55, 16)
+    with open(tmp_path / "scatter.csv", "w") as fh:
+        assert traced_peak(lambda: process.write_scatter_csv(table, fh)) < 16 * 2**20
 
 
 def test_array_maps_ignore_memory_order(rng):

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from tecpol import spline
+from tecpol import spline, trap
 from tecpol.errors import NoConvergence, NotMonotone
 from tecpol.spline import LinearSpline
 
@@ -112,15 +112,31 @@ def test_compose_through_inverse_linear_case():
     assert np.max(np.abs(got[10:] - 2 * np.sqrt(grid[10:]))) < 1e-2
 
 
+def _random_curve():
+    """Random doubles over every exponent, subnormals and negative values included."""
+    rng = np.random.default_rng(7)
+    bits = rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64)
+    bits = bits[np.isfinite(bits)]
+    subnormals = rng.integers(1, 2**52, 200, dtype=np.uint64).view(np.float64)
+    pool = np.concatenate([bits, subnormals, -subnormals, [0.0]])
+    nodes = np.unique(pool)
+    return LinearSpline(nodes, rng.permutation(pool)[: nodes.size])
+
+
 def test_file_round_trip(tmp_path):
-    f = LinearSpline(np.linspace(0, 1, 7), np.linspace(0, 1, 7) ** 2)
-    path = tmp_path / "curve.csv"
-    with open(path, "w") as fh:
-        spline.write_spline(f, fh)
-    with open(path) as fh:
-        g = spline.read_spline(fh)
-    np.testing.assert_array_equal(g.nodes, f.nodes)
-    np.testing.assert_array_equal(g.values, f.values)
+    curves = [
+        LinearSpline(np.linspace(0, 1, 7), np.linspace(0, 1, 7) ** 2),
+        trap.iterate_bound("inner", nodes=10_000).curve,
+        _random_curve(),
+    ]
+    for f in curves:
+        path = tmp_path / "curve.csv"
+        with open(path, "w") as fh:
+            spline.write_spline(f, fh)
+        with open(path) as fh:
+            g = spline.read_spline(fh)
+        np.testing.assert_array_equal(g.nodes.view(np.uint64), f.nodes.view(np.uint64))
+        np.testing.assert_array_equal(g.values.view(np.uint64), f.values.view(np.uint64))
 
 
 def test_read_rejects_bad_header():
