@@ -2,10 +2,11 @@
 rank-based brute-force oracle over GF(2)^4.
 
 The closed forms come from enumerating the 25 erasure-pattern pairs of two
-channels; they take 5-tuples of floats or of array columns, so scalar and
-array paths share arithmetic.  The oracle re-derives that enumeration
-independently, by tracking which linear functionals of the four input bits
-are revealed and computing span membership over the two-element field.
+channels; they run on array columns, and the scalar combinations on one-row
+arrays, so scalar and array paths share arithmetic.  The oracle re-derives
+that enumeration independently, by tracking which linear functionals of the
+four input bits are revealed and computing span membership over the
+two-element field.
 """
 
 from __future__ import annotations
@@ -17,30 +18,33 @@ import numpy as np
 from .channel import TecChannel, edge_mass_of, entropy_of, inertia_of
 
 
-def _serial(u, v):
-    """The serial combination: the decoder guesses the componentwise sum."""
+def _serial(u, v, out):
+    """The serial combination, written into the five rows of ``out``: the
+    decoder guesses the componentwise sum."""
     p, q, r, s, _t = u
     p2, q2, r2, s2, _t2 = v
-    a = p * p2
-    b = p * q2 + q * q2 + q * p2
-    c = p * r2 + r * r2 + r * p2
-    d = p * s2 + s * s2 + s * p2
-    return a, b, c, d, np.maximum(1.0 - (a + b + c + d), 0.0)
+    a, b, c, d, t = out  # t, written last, is the scratch row until then
+    np.multiply(p, p2, out=a)
+    for y, x, x2 in ((b, q, q2), (c, r, r2), (d, s, s2)):  # (p*x2 + x*x2) + x*p2
+        np.multiply(p, x2, out=y)
+        y += np.multiply(x, x2, out=t)
+        y += np.multiply(x, p2, out=t)
+    np.add(np.add(np.add(a, b, out=t), c, out=t), d, out=t)
+    np.maximum(np.subtract(1.0, t, out=t), 0.0, out=t)  # 1 - (a + b + c + d), clipped
 
 
-def _parallel(u, v):
-    """dual(serial(dual u, dual v)); dual reverses the five-tuple."""
-    return _serial(u[::-1], v[::-1])[::-1]
+def _one_row(w: TecChannel) -> np.ndarray:
+    return np.array([w.as_tuple()])
 
 
 def serial_combine(u: TecChannel, v: TecChannel) -> TecChannel:
     """Channel seen by a decoder guessing the componentwise sum of the inputs."""
-    return tec_from_row(_serial(u.as_tuple(), v.as_tuple()))
+    return tec_from_row(combine_arrays(_one_row(u), _one_row(v))[0][0])
 
 
 def parallel_combine(u: TecChannel, v: TecChannel) -> TecChannel:
     """Channel seen when guessing u's input given both outputs and the sums."""
-    return tec_from_row(_parallel(u.as_tuple(), v.as_tuple()))
+    return tec_from_row(combine_arrays(_one_row(u), _one_row(v))[1][0])
 
 
 def balanced_children(x, y):
@@ -176,12 +180,17 @@ def tec_from_row(row: np.ndarray) -> TecChannel:
 
 # --- array forms (shared with the process module) -------------------------
 # (N, 5) inputs in either order; children come out column-major, as views of
-# contiguous (5, N) buffers, so the maps run over contiguous columns.  The
-# children maps take ``out``, two (5, N) buffers to write the children into.
+# (5, N) buffers.  The children maps take ``out``, two (5, N) buffers, and then
+# allocate nothing: enumeration passes the even and odd columns of the next
+# generation, the psi series the two contiguous halves of its buffer.  The
+# parallel child is the serial closed form on reversed (dual) rows.
 
 
 def _stacked(u, v, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
-    return np.stack(_serial(u, v), out=out[0]).T, np.stack(_parallel(u, v), out=out[1]).T
+    serial, parallel = (np.empty((5, len(u[0]))) if o is None else o for o in out)
+    _serial(u, v, serial)
+    _serial(u[::-1], v[::-1], parallel[::-1])
+    return serial.T, parallel.T
 
 
 def combine_arrays(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

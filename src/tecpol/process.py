@@ -1,18 +1,22 @@
 """The channel process: exact descendant trees and seeded Monte Carlo paths.
 
-A generation is kept as a column-major (N, 5) float array; children are
-produced in the fixed order serial-then-parallel, so path strings sorted with
-s < p coincide with array order.  Results are ``Descendants`` tables.  Their
+A generation is kept as a column-major (N, 5) float array.  Enumeration and
+sampling keep it in path order, the children of row i at 2i and 2i + 1, so
+path strings sorted with s < p coincide with array order.  The psi series
+needs only sums: it writes all serial children, then all parallel ones, into
+the two contiguous halves of one buffer per generation, which every block of
+that generation reuses.  Results are ``Descendants`` tables.  Their
 scatter CSV is formatted in numpy, byte-identical to ``%.6g``; Python's %
 formats only near-ties and non-finite values.
 
 The psi series and sampling split their rows into blocks of ``_BLOCK_ROWS``
 and run the blocks on a thread pool; numpy releases the GIL inside its loops,
 so the threads run side by side.  Sampling uses one thread per available
-core; the series hands the pool only the two blocks of its first split, so
-it uses at most two threads.  Results do not depend on the number of cores:
-block sums are added with math.fsum, which is exactly rounded, and sampling
-draws its choices block by block, in order, on the calling thread.
+core; the series hands the pool only the two blocks of its first split, each
+walked with buffers of its own, so it uses at most two threads.  Results do
+not depend on the number of cores: block sums are added with math.fsum, which
+is exactly rounded, and sampling draws its choices block by block, in order,
+on the calling thread.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from .errors import DegenerateRoot, DepthTooLarge
 
 MAX_EXACT_DEPTH = 24
 #: rows of one block of the depth-first psi series and of sampling; a block
-#: and its children stay in cache
+#: and its children stay in cache.  A power of two, so all blocks of one
+#: generation have the same rows and fit its one series buffer
 _BLOCK_ROWS = 1 << 14
 try:
     _WORKERS = len(os.sched_getaffinity(0))
@@ -147,9 +152,12 @@ def psi_expectation_series(
 
     psi(x) = (x(1-x))**psi_exponent, the slope diagnostic behind the scaling
     exponent estimates.  The tree is walked depth-first in blocks of at most
-    _BLOCK_ROWS rows, so memory stays bounded at any depth; the blocks of the
-    first split are walked on the thread pool.  Each generation's block sums
-    are added with math.fsum, exactly rounded whatever order they come in.
+    _BLOCK_ROWS rows, so memory stays bounded at any depth.  A block's
+    children, serial then parallel rather than in path order, go into the
+    walk's one buffer for their generation.  The two blocks of the first
+    split are walked on the thread pool, one walk each.  Each generation's
+    block sums are added with math.fsum, exactly rounded whatever order they
+    come in.
     """
     if not 0.0 < psi_exponent < math.inf:
         raise ValueError(f"psi_exponent must be positive and finite, got {psi_exponent!r}")
@@ -161,28 +169,35 @@ def psi_expectation_series(
         raise DegenerateRoot(f"root entropy {h0} is fully polarized")
     psi_sums, a_sums = [[] for _ in range(depth)], [[] for _ in range(depth)]
 
-    def descend(gen: np.ndarray, n: int, spread: bool = False) -> None:
-        """Add the sums of the descendants of ``gen``, of generation n; with
-        ``spread``, the blocks of the first split go to the pool."""
-        while n < depth:
-            gen = _evolve_array(gen, kind)
-            # deep generations can drift past [0, 1] by a few ulps, which
-            # would turn the fractional power into NaN
-            h = np.clip(kernel.entropy_array(gen), 0.0, 1.0)
-            psi_sums[n].append(float(np.sum((h * (1.0 - h)) ** psi_exponent)))
-            a_sums[n].append(float(np.sum(kernel.inertia_array(gen))))
-            n += 1
-            if gen.shape[0] > _BLOCK_ROWS and n < depth:
-                starts = range(0, gen.shape[0], _BLOCK_ROWS)
-                blocks = [gen[start : start + _BLOCK_ROWS] for start in starts]
-                if spread:
-                    _pool_map(lambda block: descend(block, n), blocks)
-                else:
-                    for block in blocks:
-                        descend(block, n)
-                return
+    def step(gen: np.ndarray, n: int, levels: dict) -> list[np.ndarray]:
+        """Write the children of ``gen``, of generation n, into the walk's
+        buffer ``levels[n]``, add their sums, and return them in blocks."""
+        rows = gen.shape[0]
+        buf = levels.get(n)
+        if buf is None:
+            buf = levels[n] = np.empty((5, 2 * rows))
+        _CHILD_FNS[kind](gen, out=(buf[:, :rows], buf[:, rows:]))
+        gen = buf.T
+        # deep generations can drift past [0, 1] by a few ulps, which
+        # would turn the fractional power into NaN
+        h = np.clip(kernel.entropy_array(gen), 0.0, 1.0)
+        psi_sums[n].append(float(np.sum((h * (1.0 - h)) ** psi_exponent)))
+        a_sums[n].append(float(np.sum(kernel.inertia_array(gen))))
+        return [gen[start : start + _BLOCK_ROWS] for start in range(0, 2 * rows, _BLOCK_ROWS)]
 
-    descend(np.array([root.as_tuple()], dtype=float), 0, spread=True)
+    def descend(gen: np.ndarray, n: int, levels: dict) -> None:
+        if n < depth:
+            for block in step(gen, n, levels):
+                descend(block, n + 1, levels)
+
+    # the calling thread steps the top of the tree down to the first split;
+    # its two blocks are the pool jobs
+    jobs, n = [np.array([root.as_tuple()], dtype=float)], 0
+    while len(jobs) < 2 and n < depth:
+        jobs = step(jobs[0], n, {})
+        n += 1
+    if n < depth:  # else the top of the tree was the whole of it
+        _pool_map(lambda block: descend(block, n, {}), jobs)
     out = []
     for n in range(1, depth + 1):
         mean_psi = math.fsum(psi_sums[n - 1]) / 2**n

@@ -211,6 +211,72 @@ def test_fig3_command(capsys):
     assert len(lines) == 3
 
 
+#: full stdout of two depth-20 tree walks, frozen; a change to the walker must
+#: keep them byte for byte
+FIG3_DEPTH_20 = (
+    "n,twist,untwisted\n"
+    "1,0.382547,0.289855\n"
+    "2,0.703193,0.565596\n"
+    "3,1.02442,0.846558\n"
+    "4,1.32961,1.12054\n"
+    "5,1.63626,1.39842\n"
+    "6,1.94264,1.67454\n"
+    "7,2.24705,1.95035\n"
+    "8,2.55098,2.22625\n"
+    "9,2.85505,2.50225\n"
+    "10,3.15854,2.77801\n"
+    "11,3.46193,3.05382\n"
+    "12,3.76543,3.3297\n"
+    "13,4.06876,3.60544\n"
+    "14,4.37212,3.88117\n"
+    "15,4.67531,4.1569\n"
+    "16,4.97849,4.43269\n"
+    "17,5.28168,4.70845\n"
+    "18,5.58489,4.98416\n"
+    "19,5.88803,5.2599\n"
+    "20,6.19125,5.53565\n"
+)
+SERIES_UNTWISTED_DEPTH_20 = (
+    "n,mean_psi,neg_log2_ratio,mean_inertia\n"
+    "1,0.307785,0.289855,0.0705986\n"
+    "2,0.254239,0.565596,0.0622299\n"
+    "3,0.209249,0.846558,0.0419688\n"
+    "4,0.173056,1.12054,0.0373962\n"
+    "5,0.142737,1.39842,0.0288632\n"
+    "6,0.117874,1.67454,0.0233711\n"
+    "7,0.0973619,1.95035,0.0191693\n"
+    "8,0.0804147,2.22625,0.0157493\n"
+    "9,0.0664128,2.50225,0.01285\n"
+    "10,0.0548578,2.77801,0.0105835\n"
+    "11,0.0453116,3.05382,0.00872238\n"
+    "12,0.0374252,3.3297,0.00716052\n"
+    "13,0.0309142,3.60544,0.00590372\n"
+    "14,0.0255361,3.88117,0.00487017\n"
+    "15,0.0210936,4.1569,0.00402322\n"
+    "16,0.0174233,4.43269,0.0033171\n"
+    "17,0.0143919,4.70845,0.00273502\n"
+    "18,0.0118883,4.98416,0.00225997\n"
+    "19,0.00982008,5.2599,0.00186623\n"
+    "20,0.00811161,5.53565,0.00154027\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (["fig3", "--depth", "20"], FIG3_DEPTH_20),
+        (
+            ["series", "becpair:0.55,0.55", "--depth", "20", "--kernel", "untwisted"],
+            SERIES_UNTWISTED_DEPTH_20,
+        ),
+    ],
+    ids=["fig3", "series-untwisted"],
+)
+def test_depth_20_walks_are_byte_identical(capsys, argv, want):
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_fig2_command(tmp_path, capsys):
     prefix = str(tmp_path / "fig2")
     # 3k nodes is about the coarsest grid on which the inner bound converges

@@ -273,3 +273,68 @@ def test_array_helpers_agree_with_scalar_path(rng):
     balanced = np.column_stack(channel.balanced_tuple(x, y))
     for i in range(100):
         assert tuple(balanced[i]) == from_balanced(float(x[i]), float(y[i])).as_tuple()
+
+
+def _plain_serial(u, v):
+    """The serial closed form as plain expressions, in the kernel's order of
+    operations; (N, 5) rows."""
+    p, q, r, s, _t = u.T
+    p2, q2, r2, s2, _t2 = v.T
+    a = p * p2
+    b = p * q2 + q * q2 + q * p2
+    c = p * r2 + r * r2 + r * p2
+    d = p * s2 + s * s2 + s * p2
+    return np.column_stack([a, b, c, d, np.maximum(1.0 - (a + b + c + d), 0.0)])
+
+
+def _plain_combine(u, v):
+    """(serial, parallel) from _plain_serial; parallel is serial on the duals."""
+    return _plain_serial(u, v), _plain_serial(u[:, ::-1], v[:, ::-1])[:, ::-1]
+
+
+def _child_layouts(n):
+    """``out`` as the child maps receive it: the interleaved stride-2 columns
+    enumeration passes, the contiguous halves the psi series passes, or none.
+    NaN marks every slot, so one left unwritten would show."""
+    interleaved, halves = np.full((5, 2 * n), np.nan), np.full((5, 2 * n), np.nan)
+    return {
+        "interleaved": (interleaved[:, 0::2], interleaved[:, 1::2]),
+        "halves": (halves[:, :n], halves[:, n:]),
+        "allocated": (None, None),
+    }
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_in_place_kernel_gives_the_same_bits_in_every_output_layout(rng):
+    tiny = 5e-324  # the smallest subnormal
+    edge_rows = np.array(
+        [
+            [1.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 1.0],
+            [0.5, 0.0, 0.0, 0.0, 0.5],
+            [0.0, 0.5, 0.0, 0.5, 0.0],
+            [tiny, 0.0, 1e-310, 0.0, 1.0],
+            [1e-308, 1e-308, 3e-320, tiny, 1.0],
+            [0.25, 0.25, 0.0, 0.25, 0.25],
+            [0.2, 0.3, 0.3, 0.3, 0.0],  # sums past 1: the t of its children clips to 0
+        ]
+    )
+    rows = np.vstack([edge_rows, kernel.sample_tecs(rng, 300)])
+    others = np.vstack([edge_rows[::-1], kernel.sample_tecs(rng, 300)])
+    n = len(rows)
+    maps = {
+        "twist": (lambda out: kernel.children_arrays(rows, out), (rows, rows[:, [0, 3, 1, 2, 4]])),
+        "untwisted": (lambda out: kernel.untwisted_children_arrays(rows, out), (rows, rows)),
+        # combine_arrays is _stacked on the transposed pair, with nothing passed
+        "combine": (lambda out: kernel._stacked(rows.T, others.T, out), (rows, others)),
+    }
+    for name, (child_map, pair) in maps.items():
+        want = _plain_combine(*pair)
+        for layout, out in _child_layouts(n).items():
+            for got, ref in zip(child_map(out), want, strict=True):
+                assert np.array_equal(_bits(got), _bits(ref)), (name, layout)
+    for got, ref in zip(kernel.combine_arrays(rows, others), _plain_combine(rows, others)):
+        assert np.array_equal(_bits(got), _bits(ref))

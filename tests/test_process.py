@@ -191,15 +191,28 @@ def test_sample_paths_match_the_all_steps_reference(bec55, kind, depth, count):
     assert np.array_equal(table.path_chars, np.frombuffer(b"sp", np.uint8)[choices])
 
 
-@pytest.mark.parametrize("kind", [TWIST, BASE])
-def test_psi_series_matches_the_breadth_first_reference(bec55, kind):
-    depth = 16
+def _assert_series_matches_the_breadth_first_reference(root, depth, kind):
     assert 2**depth > 2 * process._BLOCK_ROWS  # the walk splits generations
-    got = process.psi_expectation_series(bec55, depth, kind)
-    want = _breadth_first_series(bec55, depth, kind)
+    got = process.psi_expectation_series(root, depth, kind)
+    want = _breadth_first_series(root, depth, kind)
     for st, (mean_psi, mean_a) in zip(got, want, strict=True):
         assert st.mean_psi == pytest.approx(mean_psi, rel=1e-13, abs=0)
         assert st.mean_inertia == pytest.approx(mean_a, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("kind", [TWIST, BASE])
+def test_psi_series_matches_the_breadth_first_reference(bec55, kind):
+    _assert_series_matches_the_breadth_first_reference(bec55, 16, kind)
+
+
+@pytest.mark.parametrize("kind", [TWIST, BASE])
+def test_psi_series_in_small_blocks_matches_the_breadth_first_reference(
+    bec55, monkeypatch, kind
+):
+    # hundreds of sibling blocks step into each generation's one buffer, so a
+    # buffer overwritten before its blocks are walked would show
+    monkeypatch.setattr(process, "_BLOCK_ROWS", 1 << 6)
+    _assert_series_matches_the_breadth_first_reference(bec55, 12, kind)
 
 
 def test_psi_series_memory_is_bounded(bec55, traced_peak):
@@ -211,7 +224,7 @@ def test_sample_paths_memory_is_bounded(bec55, traced_peak):
     assert traced_peak(lambda: process.sample_paths(bec55, 40, 100_000, 3)) < 32 * 2**20
 
 
-@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("workers", [1, 3, 4])
 def test_results_do_not_depend_on_the_worker_count(bec55, monkeypatch, workers):
     def run():
         series = [process.psi_expectation_series(bec55, 17, kind) for kind in (TWIST, BASE)]
@@ -224,6 +237,42 @@ def test_results_do_not_depend_on_the_worker_count(bec55, monkeypatch, workers):
     assert same_run(run(), default)
     monkeypatch.setattr(process, "_WORKERS", workers)
     assert same_run(run(), default)
+
+
+@pytest.mark.parametrize(
+    "workers,block_rows,depth,jobs",
+    [
+        (1, process._BLOCK_ROWS, 17, [2]),
+        (2, process._BLOCK_ROWS, 17, [2]),
+        (8, process._BLOCK_ROWS, 17, [2]),  # more workers than depth-17 blocks
+        (3, 1 << 6, 12, [2]),  # the 128 rows of generation 7, in 64-row blocks
+        (4, process._BLOCK_ROWS, 15, []),  # the first split is the last generation
+    ],
+)
+def test_series_pool_gets_the_two_blocks_of_the_first_split(
+    bec55, monkeypatch, workers, block_rows, depth, jobs
+):
+    pool_map, sizes = process._pool_map, []
+
+    def counting_pool_map(fn, items):
+        sizes.append(len(items))
+        return pool_map(fn, items)
+
+    monkeypatch.setattr(process, "_pool_map", counting_pool_map)
+    monkeypatch.setattr(process, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(process, "_WORKERS", workers)
+    process.psi_expectation_series(bec55, depth)
+    assert sizes == jobs
+
+
+@pytest.mark.parametrize("workers", [1, 4, 8])
+def test_psi_series_memory_does_not_grow_with_the_worker_count(
+    bec55, monkeypatch, traced_peak, workers
+):
+    # each pool job walks with buffers of its own, so more concurrent walks
+    # would hold more memory
+    monkeypatch.setattr(process, "_WORKERS", workers)
+    assert traced_peak(lambda: process.psi_expectation_series(bec55, 19)) < 16 * 2**20
 
 
 def test_block_sums_survive_thread_switches(bec55, monkeypatch):
