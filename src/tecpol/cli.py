@@ -125,8 +125,9 @@ def _cmd_power(args) -> int:
         "concave": result.concave,
         "nodes": len(result.eigenfunction.nodes),
     }
+    text = json.dumps(payload, allow_nan=False)
     with _output(args.out) as fh:
-        fh.write(json.dumps(payload) + "\n")
+        fh.write(text + "\n")
     if args.eigenfunction_out:
         with _output(args.eigenfunction_out) as fh:
             spline.write_spline(result.eigenfunction, fh)
@@ -141,16 +142,18 @@ def _cmd_verify_lemma(args) -> int:
         "bound": eigen.LEMMA_RATIO_BOUND,
         "pass": max_ratio < eigen.LEMMA_RATIO_BOUND,
     }
+    text = json.dumps(payload, allow_nan=False)
     with _output(args.out) as fh:
-        fh.write(json.dumps(payload) + "\n")
+        fh.write(text + "\n")
     return 0 if payload["pass"] else 1
 
 
 def _cmd_verify(args) -> int:
     ids = verify.CHECK_IDS if args.check == "all" else (args.check,)
     reports = verify.run_checks(ids, args.samples, args.seed)
+    text = json.dumps([r.to_dict() for r in reports], indent=2, allow_nan=False)
     with _output(args.out) as fh:
-        fh.write(json.dumps([r.to_dict() for r in reports], indent=2) + "\n")
+        fh.write(text + "\n")
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         sys.stderr.write(f"{r.check_id}: {status} (worst margin {r.worst_margin:.3e})\n")
@@ -243,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eigen", help="eigenvalue certificates")
     actions = p.add_subparsers(dest="action", required=True)
 
-    p = actions.add_parser("power", parents=[out, solver, psi], help="lambda and mu")
+    p = actions.add_parser("power", parents=[out, solver], help="lambda and mu")
     p.add_argument("--map", choices=("bec", "alpha", "curve"), default="bec")
     p.add_argument("--curve-file", default=None)
     p.add_argument("--eigenfunction-out", default=None)

@@ -75,8 +75,8 @@ class PowerIterationResult:
     concave: bool
 
 
-def _rayleigh(psi_vals, hs, hp, grid, floor):
-    num = np.interp(hs, grid, psi_vals) + np.interp(hp, grid, psi_vals)
+def _rayleigh(psi_vals, at_hs, at_hp, floor):
+    num = at_hs(psi_vals) + at_hp(psi_vals)
     mask = psi_vals > floor
     return float(np.max(num[mask] / (2.0 * psi_vals[mask])))
 
@@ -123,7 +123,6 @@ def _interp_stencil(grid: np.ndarray, x: np.ndarray) -> Callable:
 
 def power_iterate(
     curve: Callable,
-    psi_exponent: float = 0.7,
     nodes: int = 10_000,
     tol: float = 1e-9,
     max_iters: int = 20_000,
@@ -136,17 +135,15 @@ def power_iterate(
     The grid is graded towards both endpoints (``_graded_grid``).  The map
     psi -> psi(h_s) + psi(h_p) is built once, as two ``_interp_stencil``s
     bit-identical to ``np.interp``, 4 entries per row in all: the matrix a
-    scipy.sparse cross-check would use.  lambda is read off as the worst
-    node-wise Rayleigh ratio of the converged iterate (over nodes where psi
-    exceeds ``PSI_FLOOR``), which is robust to the normalization convention of
-    the recursion itself.  Concavity of the limit is checked, not enforced: a
-    non-concave limit invalidates the separation argument behind the mu
-    certificate.  The check catches kinks on the full grid and smooth
-    convexity on a subsample of about 1k nodes:
+    scipy.sparse cross-check would use.  The iteration starts at (x(1-x))^0.7.
+    lambda is the worst node-wise Rayleigh ratio of the converged iterate on
+    the same stencils (over nodes where psi exceeds ``PSI_FLOOR``), which is
+    robust to the normalization convention of the recursion itself.  Concavity
+    of the limit is checked, not enforced: a non-concave limit invalidates the
+    separation argument behind the mu certificate.  The check catches kinks on
+    the full grid and smooth convexity on a subsample of about 1k nodes:
     x(1-x)(1 + 0.5 cos 6 pi x) reads non-concave at 1k, 10k and 100k nodes.
     """
-    if not 0.0 < psi_exponent < math.inf:
-        raise ValueError(f"psi_exponent must be positive and finite, got {psi_exponent!r}")
     check_solver(nodes, 1000, tol, max_iters)
     grid = _graded_grid(nodes)
     y = curve(grid)
@@ -159,10 +156,10 @@ def power_iterate(
         nxt = at_hs(psi) + at_hp(psi)
         return nxt / nxt.max()
 
-    psi = (grid * (1.0 - grid)) ** psi_exponent
+    psi = (grid * (1.0 - grid)) ** 0.7
     psi /= psi.max()
     psi, iterations, residual = fixed_point(step, psi, tol, max_iters, "power iteration")
-    lam = _rayleigh(psi, hs, hp, grid, PSI_FLOOR)
+    lam = _rayleigh(psi, at_hs, at_hp, PSI_FLOOR)
     return PowerIterationResult(
         lam=lam,
         mu=mu_from_lambda(lam),

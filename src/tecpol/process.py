@@ -223,6 +223,8 @@ def sample_paths(
     count.bit_length()) steps of every path are read off the exact tree at
     depth m, which has at most about 2 * count leaves; only the remaining
     steps are taken path by path, a block of paths per pool job."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     if count < 1:
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng(seed)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tecpol import cli, verify
@@ -204,6 +205,32 @@ def test_verify_all(capsys):
     assert [r["id"] for r in reports] == list(verify.CHECK_IDS)
 
 
+@pytest.mark.parametrize("seed", [0, 5])
+def test_verify_all_prints_strict_json(capsys, seed):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    assert cli.run(["verify", "all", "--samples", "100000", "--seed", str(seed)]) == 0
+    reports = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert all(r["pass"] for r in reports)
+
+
+def test_ultimate_a_fails_when_children_copy_their_parent(monkeypatch, capsys):
+    # A_n then stays at the root's inertia, above 3/(n+1) for n large
+    monkeypatch.setattr(verify.kernel, "children_arrays", lambda w: (w, w))
+    assert cli.run(["verify", "ultimate-A", "--samples", "200"]) == 1
+    assert "ultimate-A: FAIL" in capsys.readouterr().err
+
+
+def test_non_finite_json_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    nan_margin = lambda rng, samples: (np.array([np.nan]), {})
+    monkeypatch.setitem(verify._CHECKS, "trap", (None, nan_margin))
+    out = tmp_path / "out.json"
+    assert cli.run(["verify", "trap", "--samples", "10", "--out", str(out)]) == 2
+    assert "error: Out of range float values are not JSON compliant" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fig3_command(capsys):
     assert cli.run(["fig3", "--depth", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -318,9 +345,7 @@ def test_usage_error_exit_code(capsys):
         (["trap", "--mode", "inner", "--tol", "0"], "tol"),
         (["eigen", "power", "--tol", "0"], "tol"),
         (["eigen", "power", "--max-iters", "0"], "max_iters"),
-        (["eigen", "power", "--psi-exponent", "-1"], "psi_exponent"),
-        (["eigen", "power", "--psi-exponent", "0"], "psi_exponent"),
-        (["eigen", "power", "--psi-exponent", "nan"], "psi_exponent"),
+        (["eigen", "power", "--psi-exponent", "0.5"], "unrecognized arguments"),
         (["series", "becpair:0.55,0.55", "--depth", "4", "--psi-exponent", "-1"], "psi_exponent"),
         (["series", "becpair:0.55,0.55", "--depth", "4", "--psi-exponent", "nan"], "psi_exponent"),
         (["fig3", "--depth", "4", "--psi-exponent", "0"], "psi_exponent"),
@@ -333,9 +358,7 @@ def test_usage_error_exit_code(capsys):
         "trap-tol-0",
         "eigen-tol-0",
         "eigen-max-iters-0",
-        "eigen-psi-exponent-negative",
-        "eigen-psi-exponent-0",
-        "eigen-psi-exponent-nan",
+        "eigen-psi-exponent-unrecognized",
         "series-psi-exponent-negative",
         "series-psi-exponent-nan",
         "fig3-psi-exponent-0",

@@ -130,6 +130,11 @@ def test_sample_paths_depth_zero(bec55):
     assert channels(table) == [bec55] * 5 and paths(table) == [""] * 5
 
 
+def test_sample_paths_rejects_negative_depth(bec55):
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        process.sample_paths(bec55, -1, 10, seed=0)
+
+
 def test_sample_paths_deterministic(bec55):
     a = process.sample_paths(bec55, 12, 50, seed=3)
     b = process.sample_paths(bec55, 12, 50, seed=3)
