@@ -93,8 +93,10 @@ def _cmd_series(args) -> int:
         process.KernelKind(args.kernel),
         **_given(args),
     )
+    rows = [(st.generation, st.mean_psi, st.neg_log2_ratio, st.mean_inertia) for st in stats]
     with _output(args.out) as fh:
-        process.write_series_csv(stats, fh)
+        header = "n,mean_psi,neg_log2_ratio,mean_inertia"
+        process.write_csv(header, np.array(rows).reshape(-1, 4).T, fh)
     return 0
 
 
@@ -161,21 +163,19 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
+    # enumerated first, so a bad depth exits before the trap runs or a file opens
+    records = process.enumerate_descendants(
+        parse_channel_spec(args.channel), args.depth, process.KernelKind.QUATERNARY_TWIST
+    )
     grid = np.linspace(0.0, 1.0, args.plot_points)
     options = _given(args)
     phi = trap.iterate_bound("inner", **options).curve(grid)
     chi = trap.iterate_bound("outer", **options).curve(grid)
+    outer_p = trap.analytic_curve("outer_parabola", grid)
+    alpha_p = trap.analytic_curve("alpha_parabola", grid)
     with open(f"{args.out_prefix}_curves.csv", "w") as fh:
-        fh.write("x,outer_parabola,outer_numeric,inner_numeric,alpha_parabola\n")
-        outer_p = trap.analytic_curve("outer_parabola", grid)
-        alpha_p = trap.analytic_curve("alpha_parabola", grid)
-        for i, x in enumerate(grid):
-            fh.write(
-                f"{x:.6g},{outer_p[i]:.6g},{chi[i]:.6g},{phi[i]:.6g},{alpha_p[i]:.6g}\n"
-            )
-    records = process.enumerate_descendants(
-        parse_channel_spec(args.channel), args.depth, process.KernelKind.QUATERNARY_TWIST
-    )
+        header = "x,outer_parabola,outer_numeric,inner_numeric,alpha_parabola"
+        process.write_csv(header, [grid, outer_p, chi, phi, alpha_p], fh)
     with open(f"{args.out_prefix}_scatter.csv", "w") as fh:
         process.write_scatter_csv(records, fh)
     sys.stderr.write(
@@ -193,10 +193,9 @@ def _cmd_fig3(args) -> int:
     base = process.psi_expectation_series(
         root, args.depth, process.KernelKind.UNTWISTED_BASELINE, **options
     )
+    rows = [(a.generation, a.neg_log2_ratio, b.neg_log2_ratio) for a, b in zip(twist, base)]
     with _output(args.out) as fh:
-        fh.write("n,twist,untwisted\n")
-        for a, b in zip(twist, base):
-            fh.write(f"{a.generation},{a.neg_log2_ratio:.6g},{b.neg_log2_ratio:.6g}\n")
+        process.write_csv("n,twist,untwisted", np.array(rows).reshape(-1, 3).T, fh)
     return 0
 
 

@@ -5,9 +5,10 @@ sampling keep it in path order, the children of row i at 2i and 2i + 1, so
 path strings sorted with s < p coincide with array order.  The psi series
 needs only sums: it writes all serial children, then all parallel ones, into
 the two contiguous halves of one buffer per generation, which every block of
-that generation reuses.  Results are ``Descendants`` tables.  Their
-scatter CSV is formatted in numpy, byte-identical to ``%.6g``; Python's %
-formats only near-ties and non-finite values.
+that generation reuses.  Results are ``Descendants`` tables.  Every CSV the
+CLI prints goes through ``write_csv``, which lays out ``_BLOCK_ROWS`` lines at
+a time in numpy, byte-identical to ``%.6g``, so its memory stays constant;
+Python's % formats only near-ties and non-finite values.
 
 The psi series and sampling split their rows into blocks of ``_BLOCK_ROWS``
 and run the blocks on a thread pool; numpy releases the GIL inside its loops,
@@ -35,9 +36,9 @@ from .channel import TecChannel, functionals
 from .errors import DegenerateRoot, DepthTooLarge
 
 MAX_EXACT_DEPTH = 24
-#: rows of one block of the depth-first psi series and of sampling; a block
-#: and its children stay in cache.  A power of two, so all blocks of one
-#: generation have the same rows and fit its one series buffer
+#: rows of one block of the depth-first psi series, of sampling and of the CSV
+#: writer; a block and its children stay in cache.  A power of two, so all
+#: blocks of one generation have the same rows and fit its one series buffer
 _BLOCK_ROWS = 1 << 14
 try:
     _WORKERS = len(os.sched_getaffinity(0))
@@ -294,24 +295,22 @@ def _format_g6(values: np.ndarray) -> np.ndarray:
     return t.T
 
 
+def write_csv(header: str, columns: Sequence[np.ndarray], fh) -> None:
+    """``header``, then one line per row of the equal-length ``columns``: a
+    uint8 (N, k) column prints its k characters, any other column ``%.6g`` of
+    its floats.  Lines are laid out in numpy, at most _BLOCK_ROWS at a time, so
+    memory stays constant whatever the table size; Python's % formats only
+    near-ties and non-finite values."""
+    fh.write(header + "\n")
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [col[start : start + _BLOCK_ROWS] for col in columns]
+        fields = [col if col.dtype == np.uint8 else _format_g6(col) for col in block]
+        comma = np.full((len(block[0]), 1), ord(","), np.uint8)
+        text = np.concatenate([x for f in fields for x in (f, comma)], 1)
+        text[:, -1] = ord("\n")  # the last comma
+        fh.write(text.tobytes().translate(None, b"\0").decode("ascii"))
+
+
 def write_scatter_csv(table: Descendants, fh) -> None:
-    """One ``path,H,E,A`` line per row, laid out in numpy and byte-identical to
-    ``%.6g``; Python's % formats only near-ties and non-finite values."""
-    n, depth = table.path_chars.shape
-    buf = bytearray(n * (depth + 3 * _G6_WIDTH + 4))  # drops its NULs without a copy
-    text = np.frombuffer(buf, np.uint8).reshape(n, -1)
-    text[:, :depth] = table.path_chars
-    text[:, depth :: _G6_WIDTH + 1] = np.frombuffer(b",,,\n", np.uint8)
-    for j, col in enumerate((table.entropy, table.edge_mass, table.inertia)):
-        start = depth + 1 + j * (_G6_WIDTH + 1)
-        text[:, start : start + _G6_WIDTH] = _format_g6(col)
-    fh.write("path,H,E,A\n")
-    fh.write(buf.translate(None, b"\0").decode("ascii"))
-
-
-def write_series_csv(stats: Sequence[GenerationStats], fh) -> None:
-    fh.write("n,mean_psi,neg_log2_ratio,mean_inertia\n")
-    for st in stats:
-        fh.write(
-            f"{st.generation},{st.mean_psi:.6g},{st.neg_log2_ratio:.6g},{st.mean_inertia:.6g}\n"
-        )
+    """One ``path,H,E,A`` line per row."""
+    write_csv("path,H,E,A", [table.path_chars, table.entropy, table.edge_mass, table.inertia], fh)

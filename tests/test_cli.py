@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tecpol import cli, verify
+from tecpol import cli, process, trap, verify
 from tecpol.channel import from_bec_pair, from_qary_erasure, new_tec
 
 
@@ -101,6 +101,19 @@ def test_series_command(capsys):
     assert lines[1].startswith("1,")
 
 
+@pytest.mark.parametrize("depth", [0, 12])
+@pytest.mark.parametrize("kernel", ["twist", "untwisted"])
+def test_series_csv_matches_the_percent_format(capsys, bec55, kernel, depth):
+    argv = ["series", "becpair:0.55,0.55", "--depth", str(depth), "--kernel", kernel]
+    assert cli.run(argv) == 0
+    stats = process.psi_expectation_series(bec55, depth, process.KernelKind(kernel))
+    rows = [(s.generation, s.mean_psi, s.neg_log2_ratio, s.mean_inertia) for s in stats]
+    want = "n,mean_psi,neg_log2_ratio,mean_inertia\n" + "".join(
+        "%d,%.6g,%.6g,%.6g\n" % row for row in rows
+    )
+    assert capsys.readouterr().out == want
+
+
 def test_series_deterministic(tmp_path):
     a = str(tmp_path / "a.csv")
     b = str(tmp_path / "b.csv")
@@ -138,7 +151,9 @@ def test_eigen_verify_lemma(capsys):
         ("--eigenfunction-out", "psi.csv"),
     ],
 )
-def test_verify_lemma_rejects_power_options(tmp_path, monkeypatch, capsys, option, value):
+def test_verify_lemma_rejects_options_it_does_not_read(
+    tmp_path, monkeypatch, capsys, option, value
+):
     monkeypatch.chdir(tmp_path)
     assert cli.run(["eigen", "verify-lemma", option, value, "--out", "lemma.json"]) == 2
     assert f"unrecognized arguments: {option}" in capsys.readouterr().err
@@ -238,6 +253,19 @@ def test_fig3_command(capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("depth", [0, 6])
+def test_fig3_csv_matches_the_percent_format(capsys, bec55, depth):
+    assert cli.run(["fig3", "--depth", str(depth)]) == 0
+    twist, base = (
+        process.psi_expectation_series(bec55, depth, kind) for kind in process.KernelKind
+    )
+    want = "n,twist,untwisted\n" + "".join(
+        "%d,%.6g,%.6g\n" % (a.generation, a.neg_log2_ratio, b.neg_log2_ratio)
+        for a, b in zip(twist, base)
+    )
+    assert capsys.readouterr().out == want
+
+
 #: full stdout of two depth-20 tree walks, frozen; a change to the walker must
 #: keep them byte for byte
 FIG3_DEPTH_20 = (
@@ -319,14 +347,37 @@ def test_fig2_command(tmp_path, capsys):
     assert len(scatter) == 9
 
 
-def test_fig2_without_convergence_exits_2_and_writes_nothing(tmp_path, capsys):
-    # at 2k nodes the inner iterate drains toward zero instead of converging
+def test_fig2_curves_csv_matches_the_percent_format(tmp_path, capsys):
+    prefix = str(tmp_path / "fig2")
+    args = ["fig2", "--depth", "0", "--nodes", "3000", "--plot-points", "1001"]
+    assert cli.run(args + ["--out-prefix", prefix]) == 0
+    grid = np.linspace(0.0, 1.0, 1001)
+    columns = [
+        grid,
+        trap.analytic_curve("outer_parabola", grid),
+        trap.iterate_bound("outer", nodes=3000).curve(grid),
+        trap.iterate_bound("inner", nodes=3000).curve(grid),
+        trap.analytic_curve("alpha_parabola", grid),
+    ]
+    want = "x,outer_parabola,outer_numeric,inner_numeric,alpha_parabola\n" + "".join(
+        "%.6g,%.6g,%.6g,%.6g,%.6g\n" % row for row in zip(*columns)
+    )
+    assert Path(prefix + "_curves.csv").read_text() == want
+
+
+def test_fig2_without_convergence_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
     prefix = tmp_path / "fig2"
+    # at 2k nodes the inner iterate drains toward zero instead of converging
     args = ["fig2", "--depth", "3", "--nodes", "2000", "--out-prefix", str(prefix)]
     assert cli.run(args) == 2
     assert "inner bound did not reach" in capsys.readouterr().err
-    assert not (tmp_path / "fig2_curves.csv").exists()
-    assert not (tmp_path / "fig2_scatter.csv").exists()
+    assert list(tmp_path.iterdir()) == []
+    # a bad depth exits before the trap runs
+    monkeypatch.setattr(trap, "iterate_bound", lambda *a, **k: pytest.fail("trap ran"))
+    for depth, message in [(-1, "depth must be nonnegative"), (25, "depth 25 exceeds 24")]:
+        assert cli.run(["fig2", "--depth", str(depth), "--out-prefix", str(prefix)]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_usage_error_exit_code(capsys):

@@ -439,8 +439,9 @@ def test_scatter_csv_matches_the_percent_format(bec55, make):
     assert got.getvalue() == want.getvalue()
 
 
-def test_scatter_csv_memory_is_bounded(bec55, traced_peak, tmp_path):
-    table = process.enumerate_descendants(bec55, 16)
+@pytest.mark.parametrize("depth", [16, 18])
+def test_scatter_csv_memory_is_bounded(bec55, traced_peak, tmp_path, depth):
+    table = process.enumerate_descendants(bec55, depth)
     with open(tmp_path / "scatter.csv", "w") as fh:
         assert traced_peak(lambda: process.write_scatter_csv(table, fh)) < 16 * 2**20
 
