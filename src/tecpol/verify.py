@@ -9,6 +9,7 @@ floor) means PASS.  Reports are deterministic given (id, samples, seed).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,47 +45,30 @@ class VerificationReport:
 
 
 def stratified_tecs(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Simplex samples covering the interior, edges, corners, balanced
-    channels, and low-edge-mass channels."""
-    n_uniform = count // 2
-    n_conc = count // 4
-    n_low = count // 6
-    n_special = count - n_uniform - n_conc - n_low
-    parts = [
-        kernel.sample_tecs(rng, n_uniform),
-        kernel.sample_tecs_concentrated(rng, n_conc),
-    ]
-    low = kernel.sample_tecs(rng, n_low)
-    scale = 10.0 ** rng.uniform(-4.0, 0.0, n_low)
+    """Simplex samples in row order: uniform (the interior), pushed toward the
+    edges, low edge mass, the corners, and balanced channels."""
+    uniform = kernel.sample_tecs(rng, count // 2)
+    concentrated = kernel.sample_tecs_concentrated(rng, count // 4)
+    low = kernel.sample_tecs(rng, count // 6)
+    scale = 10.0 ** rng.uniform(-4.0, 0.0, len(low))
     low[:, 1:4] *= scale[:, None]
     low /= low.sum(axis=1, keepdims=True)
-    parts.append(low)
-    special = np.zeros((n_special, 5))
-    corners = np.eye(5)
-    ncorner = min(5, n_special)
-    special[:ncorner] = corners[:ncorner]
-    if n_special > 5:
-        # balanced channels: q = r = s
-        m = n_special - 5
-        x = rng.uniform(0.0, 1.0, m)
-        y = rng.uniform(0.0, 1.0, m) * 2.0 * np.minimum(x, 1.0 - x)
-        special[5:] = np.column_stack(balanced_tuple(x, y))
-    parts.append(special)
-    return np.vstack(parts)
+    # the rest: corners, then balanced channels (q = r = s)
+    n_special = count - len(uniform) - len(concentrated) - len(low)
+    n_balanced = max(n_special - 5, 0)
+    x = rng.uniform(0.0, 1.0, n_balanced)
+    y = rng.uniform(0.0, 1.0, n_balanced) * 2.0 * np.minimum(x, 1.0 - x)
+    balanced = np.column_stack(balanced_tuple(x, y))
+    return np.vstack([uniform, concentrated, low, np.eye(5)[:n_special], balanced])
 
 
-def _balanced_q_sample(rng, count, q_low, q_high_cap, near=None):
-    """Balanced points with Quetelet index drawn from [q_low, min(q_high_cap,
-    feasibility)]; a quarter of the points sit within 1e-6 of q_low when
-    ``near`` is set."""
+def _balanced_q_sample(rng, count, q_low, q_high_cap):
+    """Balanced points x with Quetelet index b drawn from [q_low, min(q_high_cap,
+    feasibility)]; the edge mass is y = b x (1 - x)."""
     x = rng.uniform(1e-6, 1.0 - 1e-6, count)
     q_cap = np.minimum(2.0 / np.maximum(x, 1.0 - x), q_high_cap)
     b = q_low + rng.uniform(0.0, 1.0, count) * np.maximum(q_cap - q_low, 0.0)
-    if near == "low":
-        k = count // 4
-        b[:k] = q_low + rng.uniform(0.0, 1e-6, k)
-    y = b * x * (1.0 - x)
-    return x, y, b
+    return x, b
 
 
 def _child_quetelet(x, y):
@@ -107,8 +91,9 @@ def _below_alpha_sample(rng, samples):
 
 # --- checks -----------------------------------------------------------------
 # A check takes its sampler's draw (the generator itself if it has none) and
-# the sample count, and returns its margins and named witness columns, each
-# indexed like the margins; run_check reads the witness at the worst margin.
+# the sample count, and returns a 1-D array of margins, one per sample (for the
+# oracle, one per pair, the worse of its two modes), and named witness columns of
+# the same length; run_check reads the witness at the worst margin.
 
 
 def _stratified(rng, samples):
@@ -150,7 +135,11 @@ def _check_ultimate_a(rng, samples):
 
 def _check_trap(rng, samples):
     alpha = EDGE_HEAVY_THRESHOLD
-    x, y, _b = _balanced_q_sample(rng, samples, alpha, np.inf, near="low")
+    x, b = _balanced_q_sample(rng, samples, alpha, np.inf)
+    # a quarter of the points sit within 1e-6 of alpha
+    k = samples // 4
+    b[:k] = alpha + rng.uniform(0.0, 1e-6, k)
+    y = b * x * (1.0 - x)
     q_s, q_p = _child_quetelet(x, y)
     return np.minimum(q_s - alpha, q_p - alpha), {"x": x, "y": y}
 
@@ -182,10 +171,10 @@ def _check_gap_jump(rng, samples):
 
 
 def _check_outer_q(rng, samples):
-    x, y, _b = _balanced_q_sample(rng, samples, 1e-9, 2.0, near=None)
-    k = samples // 4
+    x, b = _balanced_q_sample(rng, samples, 1e-9, 2.0)
     # stress the boundary Q = 2
-    y[:k] = 2.0 * x[:k] * (1.0 - x[:k])
+    b[: samples // 4] = 2.0
+    y = b * x * (1.0 - x)
     # Q <= 2 is equivalent to 2H(1-H) - E >= 0; 1 - H is read off the dual
     # point (1 - x, y), where serial and parallel swap, which stays accurate
     # near the endpoints where H(1-H) underflows the quotient
@@ -200,29 +189,24 @@ def _check_outer_q(rng, samples):
 def _check_fg_bounds(rng, samples):
     # invariance of the polynomial trap bounds: the region above f and the
     # region below g are each closed under taking children.  The first half
-    # of the points lies above f, the rest below g; margins has one row per
-    # side, +inf at the other side's points, so the worst margin's row is its side
+    # of the points lies above f and gets its above-f margin, the rest lie
+    # below g and get their below-g margin
     half = samples // 2
     x = rng.uniform(1e-9, 1.0 - 1e-9, samples)
     cap = 2.0 * np.minimum(x, 1.0 - x)
     u = rng.uniform(0.0, 1.0, samples)
-    f_x = analytic_curve("poly_inner", x)
-    g_x = analytic_curve("poly_outer", x)
+    f = functools.partial(analytic_curve, "poly_inner")
+    g = functools.partial(analytic_curve, "poly_outer")
+    f_x = f(x[:half])
     y = np.empty(samples)
-    y[:half] = f_x[:half] + u[:half] * (cap[:half] - f_x[:half])
-    y[half:] = u[half:] * g_x[half:]
+    y[:half] = f_x + u[:half] * (cap[:half] - f_x)
+    y[half:] = u[half:] * g(x[half:])
     h_p, e_p, h_s, e_s = kernel.balanced_children(x, y)
-    margins = np.full((2, samples), np.inf)
-    margins[0, :half] = np.minimum(
-        e_p[:half] - analytic_curve("poly_inner", h_p[:half]),
-        e_s[:half] - analytic_curve("poly_inner", h_s[:half]),
-    )
-    margins[1, half:] = np.minimum(
-        analytic_curve("poly_outer", h_p[half:]) - e_p[half:],
-        analytic_curve("poly_outer", h_s[half:]) - e_s[half:],
-    )
-    columns = {"x": x, "y": y, "side": np.array([["above_f"], ["below_g"]])}
-    return margins, {k: np.broadcast_to(c, margins.shape) for k, c in columns.items()}
+    margins = np.empty(samples)
+    margins[:half] = np.minimum(e_p[:half] - f(h_p[:half]), e_s[:half] - f(h_s[:half]))
+    margins[half:] = np.minimum(g(h_p[half:]) - e_p[half:], g(h_s[half:]) - e_s[half:])
+    side = np.repeat(["above_f", "below_g"], [half, samples - half])
+    return margins, {"x": x, "y": y, "side": side}
 
 
 def _check_oracle(rng, samples):
@@ -230,16 +214,15 @@ def _check_oracle(rng, samples):
     us = kernel.sample_tecs(rng, count)
     vs = kernel.sample_tecs(rng, count)
     pairs = zip(kernel.combine_arrays(us, vs), kernel.brute_force_arrays(us, vs))
-    # worst gap per (pair, mode); run_check's row-major argmin takes the first
-    # pair, and serial before parallel, among equal gaps
-    diffs = np.column_stack([np.abs(c - o).max(axis=1) for c, o in pairs])
-    if not diffs.any():
-        return -diffs, {}
-    return -diffs, {
-        "u": np.broadcast_to(us[:, None], (count, 2, 5)),
-        "v": np.broadcast_to(vs[:, None], (count, 2, 5)),
-        "mode": np.broadcast_to(np.array(["serial", "parallel"]), (count, 2)),
-    }
+    # each pair's worst gap over both modes, and the mode it came from: serial
+    # on a tie, so run_check's argmin takes the first pair, and serial, among
+    # equal gaps
+    serial, parallel = (np.abs(c - o).max(axis=1) for c, o in pairs)
+    gaps = np.maximum(serial, parallel)
+    if not gaps.any():
+        return -gaps, {}
+    mode = np.where(parallel > serial, "parallel", "serial")
+    return -gaps, {"u": us, "v": vs, "mode": mode}
 
 
 def _check_conservation(draw, samples):
@@ -281,7 +264,7 @@ def run_check(
         rng = np.random.default_rng(seed)
         draw = rng if sampler is None else sampler(rng, samples)
     margins, columns = check(draw, samples)
-    k = np.unravel_index(np.argmin(margins), margins.shape)
+    k = int(np.argmin(margins))
     worst = float(margins[k])
     witness = {name: col[k].tolist() for name, col in columns.items()}
     return VerificationReport(check_id, samples, worst, witness, bool(worst >= MARGIN_FLOOR))

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -243,6 +244,33 @@ def test_non_finite_json_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsy
     out = tmp_path / "out.json"
     assert cli.run(["verify", "trap", "--samples", "10", "--out", str(out)]) == 2
     assert "error: Out of range float values are not JSON compliant" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture()
+def address_space_cap():
+    """Caps the address space at 1 TiB while the test runs, so an allocation far
+    above it fails at once, whatever the kernel's overcommit policy."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 2**40 if hard == resource.RLIM_INFINITY else min(2**40, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    yield
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "all", "--samples", "10000000000000"],
+        ["eigen", "verify-lemma", "--nodes", "10000000000000"],
+    ],
+    ids=["verify-all", "verify-lemma"],
+)
+def test_allocation_that_cannot_succeed_exits_2(tmp_path, capsys, address_space_cap, argv):
+    # exit 1 would read as a failed check or certificate
+    out = tmp_path / "out.json"
+    assert cli.run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
     assert not out.exists()
 
 

@@ -133,3 +133,172 @@ def test_ultimate_a_witness_is_its_worst_margin():
     a = verify.kernel.inertia_array(np.array([w["tec"]]))[0]
     assert report.worst_margin == 3.0 - (w["n"] + 1) * a
     assert 1 <= w["n"] <= 100 and w["fitted_C"] >= w["n"] * a
+
+
+@pytest.mark.parametrize("samples", [1, 2, 1000])
+def test_fg_bounds_witness_is_its_worst_margin(samples):
+    report = verify.run_check("fg-bounds", samples=samples, seed=0)
+    w = report.witness
+    h_p, e_p, h_s, e_s = verify.kernel.balanced_children(np.array([w["x"]]), np.array([w["y"]]))
+    if w["side"] == "above_f":
+        f = lambda h: verify.analytic_curve("poly_inner", h)
+        margin = np.minimum(e_p - f(h_p), e_s - f(h_s))[0]
+    else:
+        g = lambda h: verify.analytic_curve("poly_outer", h)
+        margin = np.minimum(g(h_p) - e_p, g(h_s) - e_s)[0]
+    assert report.worst_margin == margin
+    # the first half of the points lies above f, so a single point lies below g
+    assert samples > 1 or w["side"] == "below_g"
+
+
+@pytest.mark.parametrize("check_id", verify.CHECK_IDS)
+def test_checks_return_one_margin_per_sample(check_id):
+    sampler, check = verify._CHECKS[check_id]
+    rng = np.random.default_rng(0)
+    margins, columns = check(rng if sampler is None else sampler(rng, 30), 30)
+    assert margins.ndim == 1
+    assert set(columns) == WITNESS_KEYS[check_id]
+    assert all(len(col) == len(margins) for col in columns.values())
+
+
+# worst margin and witness of every check at seed 0, at a count whose stratified
+# draws hold only corners and none of the balanced channels, and at 100k
+FROZEN_REPORTS = {
+    7: {
+        "uniform-A": (0.0, {"tec": [1.0, 0.0, 0.0, 0.0, 0.0]}),
+        "average-A": (0.0, {"tec": [1.0, 0.0, 0.0, 0.0, 0.0]}),
+        "ultimate-A": (
+            2.926973815113622,
+            {
+                "fitted_C": 0.04322392137031509,
+                "n": 1,
+                "tec": [
+                    0.08956413090566515,
+                    0.13505376568861863,
+                    0.14082801429225938,
+                    0.0029166708244242165,
+                    0.6316374182890326,
+                ],
+            },
+        ),
+        "trap": (0.015437447204094124, {"x": 0.813269612659794, "y": 0.19661598400623373}),
+        "inner-Q": (
+            0.0002696029418550183,
+            {"x": 0.0027394946931477548, "y": 0.000876937990044901, "eps": 0.2205116053077089},
+        ),
+        "uniform-Q": (
+            0.03244573757562305,
+            {"x": 0.03358650813431374, "y": 0.001158500585987133, "eps": 0.03118440637561185},
+        ),
+        "gap-jump": (0.020568682299484775, {"x": 0.6721758785095097, "y": 0.534912949289571}),
+        "outer-Q": (2.124888415277722e-05, {"x": 0.016528602473258037, "y": 0.0265240644144666}),
+        "fg-bounds": (
+            2.2163943597676677e-05,
+            {"x": 0.016527636495473823, "y": 0.026378837010049075, "side": "below_g"},
+        ),
+        "oracle": (
+            -3.885780586188048e-16,
+            {
+                "u": [
+                    0.05437900147090519,
+                    0.3156246705892203,
+                    0.13889417009751842,
+                    0.22051911481113204,
+                    0.270583043031224,
+                ],
+                "v": [
+                    0.09082097683034412,
+                    0.1758897904955477,
+                    0.017069739597105796,
+                    0.2084733712176086,
+                    0.5077461218593936,
+                ],
+                "mode": "parallel",
+            },
+        ),
+        "conservation": (
+            -2.220446049250313e-16,
+            {
+                "tec": [
+                    0.29927266982747547,
+                    0.4487766273694334,
+                    0.008717921248874971,
+                    0.000998846282454981,
+                    0.2422339352717613,
+                ]
+            },
+        ),
+    },
+    100_000: {
+        "uniform-A": (0.0, {"tec": [1.0, 0.0, 0.0, 0.0, 0.0]}),
+        "average-A": (0.0, {"tec": [1.0, 0.0, 0.0, 0.0, 0.0]}),
+        "ultimate-A": (
+            2.7719043545972646,
+            {
+                "fitted_C": 0.11404782270136773,
+                "n": 1,
+                "tec": [
+                    0.0015372787354046363,
+                    0.018098599219109824,
+                    0.2595944907557486,
+                    0.02359155755141028,
+                    0.6971780737383266,
+                ],
+            },
+        ),
+        "trap": (1.1374251540630098e-07, {"x": 3.357530161863824e-05, "y": 4.3361137972503614e-05}),
+        "inner-Q": (
+            2.8368296153889576e-08,
+            {"x": 0.001916512901818264, "y": 1.6615761534080108e-06, "eps": 1.2883982067380355},
+        ),
+        "uniform-Q": (
+            5.437696081645671e-07,
+            {"x": 0.6139565026744622, "y": 1.6574887026821075e-06, "eps": 1.291463091138597},
+        ),
+        "gap-jump": (0.0006195907586813432, {"x": 0.6670032939969517, "y": 0.6651291246369706}),
+        "outer-Q": (-3.93996465516664e-22, {"x": 0.9999957667277155, "y": 8.466508727797298e-06}),
+        "fg-bounds": (
+            2.4315741836825077e-12,
+            {"x": 0.9999967657212554, "y": 6.04403492737013e-06, "side": "above_f"},
+        ),
+        "oracle": (
+            -6.661338147750939e-16,
+            {
+                "u": [
+                    0.1953810899202626,
+                    0.23656774167646852,
+                    0.0494913190927109,
+                    0.5068744234159747,
+                    0.011685425894583653,
+                ],
+                "v": [
+                    0.1607500450878463,
+                    0.03168278543928364,
+                    0.4061987687827036,
+                    0.11811103307405771,
+                    0.28325736761610887,
+                ],
+                "mode": "serial",
+            },
+        ),
+        "conservation": (
+            -6.661338147750939e-16,
+            {
+                "tec": [
+                    0.7784269162577895,
+                    0.15272843598588356,
+                    0.023045730527062023,
+                    0.040105129779977,
+                    0.005693787449287631,
+                ]
+            },
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("samples", FROZEN_REPORTS)
+def test_frozen_worst_margins_and_witnesses(samples):
+    reports = verify.run_checks(verify.CHECK_IDS, samples, 0)
+    got = {r.check_id: (r.worst_margin, r.witness) for r in reports}
+    assert got == FROZEN_REPORTS[samples]
