@@ -122,21 +122,33 @@ def balanced_tuple(x, y):
     return np.maximum(1.0 - x - y / 2.0, 0.0), e3, e3, e3, np.maximum(x - y / 2.0, 0.0)
 
 
-# H, E and A of a five-tuple (p, q, r, s, t) of floats or of array columns;
-# functionals() and the array forms in kernel both evaluate these.
+# H, E and A of a five-tuple (p, q, r, s, t) of floats or of array columns, for
+# functionals() and kernel's array forms; they write into ``out`` (A: result, scratch) if given.
 
 
-def entropy_of(w):
-    return edge_mass_of(w) / 2.0 + w[4]
+def entropy_of(w, out=None):
+    h = edge_mass_of(w, out)
+    h /= 2.0
+    h += w[4]
+    return h
 
 
-def edge_mass_of(w):
-    return w[1] + w[2] + w[3]
+def edge_mass_of(w, out=None):
+    e = w[1] + w[2] if out is None else np.add(w[1], w[2], out=out)
+    e += w[3]
+    return e
 
 
-def inertia_of(w):
+def inertia_of(w, out=(None, None)):
     _p, q, r, s, _t = w
-    return (q - r) ** 2 + (r - s) ** 2 + (s - q) ** 2
+    a = q - r if out[0] is None else np.subtract(q, r, out=out[0])
+    a *= a
+    for x, y in ((r, s), (s, q)):
+        d = x - y if out[1] is None else np.subtract(x, y, out=out[1])
+        d *= d
+        a += d
+        del d  # else the next difference would be allocated beside it
+    return a
 
 
 def functionals(w: TecChannel) -> ChannelFunctionals:

@@ -12,12 +12,13 @@ Python's % formats only near-ties and non-finite values.
 
 The psi series and sampling split their rows into blocks of ``_BLOCK_ROWS``
 and run the blocks on a thread pool; numpy releases the GIL inside its loops,
-so the threads run side by side.  Sampling uses one thread per available
-core; the series hands the pool only the two blocks of its first split, each
-walked with buffers of its own, so it uses at most two threads.  Results do
-not depend on the number of cores: block sums are added with math.fsum, which
-is exactly rounded, and sampling draws its choices block by block, in order,
-on the calling thread.
+so the threads run side by side.  A lane per worker runs its blocks in order
+in buffers made on the calling thread, as glibc keeps what a worker frees in
+the worker's own malloc arena.  Sampling uses a lane per core; the series
+gets only the two blocks of its first split.  Results do not depend on the
+number of cores: block sums are added with math.fsum, which is exactly
+rounded, and sampling draws its choices block by block, in order, on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -32,10 +33,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .channel import TecChannel, functionals
+from .channel import TecChannel, entropy_of, functionals, inertia_of
 from .errors import DegenerateRoot, DepthTooLarge
 
-MAX_EXACT_DEPTH = 24
+
+def _table_bytes(depth: int) -> int:
+    """Enumeration's peak: a row, H, E, A, two path arrays and a temporary per leaf."""
+    return (72 + 2 * depth) << depth
+
+
+_TABLE_BUDGET = 1 << 30
+MAX_EXACT_DEPTH = max(d for d in range(40) if _table_bytes(d) <= _TABLE_BUDGET)
 #: rows of one block of the depth-first psi series, of sampling and of the CSV
 #: writer; a block and its children stay in cache.  A power of two, so all
 #: blocks of one generation have the same rows and fit its one series buffer
@@ -46,17 +54,20 @@ except AttributeError:  # no affinity call on this platform
     _WORKERS = os.cpu_count() or 1
 
 
-def _pool_map(fn, items: list) -> list:
-    """[fn(item) for item in items], on _WORKERS threads when there are
-    several items and several workers."""
-    if _WORKERS < 2 or len(items) < 2:
-        return list(map(fn, items))
+def _pool_map(fn, jobs: list, buffers) -> list:
+    """fn(job, bufs) for each job on k = min(_WORKERS, len(jobs)) lanes, threads if
+    k > 1: lane i runs jobs[i::k] in order, bufs = buffers() made on this thread."""
+    k = min(_WORKERS, len(jobs))
+    lanes = [(jobs[i::k], buffers()) for i in range(k)]
+    run = lambda lane: [fn(job, lane[1]) for job in lane[0]]
+    if k < 2:
+        return list(map(run, lanes))
     # imported here: with its logging import it would add about 11 ms to
     # every start of the CLI
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(_WORKERS) as pool:
-        return list(pool.map(fn, items))
+    with ThreadPoolExecutor(k) as pool:
+        return list(pool.map(run, lanes))
 
 
 class KernelKind(enum.Enum):
@@ -127,7 +138,8 @@ def enumerate_descendants(
         raise ValueError("depth must be nonnegative")
     if depth > MAX_EXACT_DEPTH:
         raise DepthTooLarge(
-            f"depth {depth} exceeds {MAX_EXACT_DEPTH}; use sample_paths instead"
+            f"depth {depth} exceeds {MAX_EXACT_DEPTH}: needs {_table_bytes(depth):,} bytes,"
+            f" over the {_TABLE_BUDGET:,}-byte table budget; use sample_paths instead"
         )
     gen = _exact_tree(root, depth, kind)
     # np.indices lists the step choices (0 serial, 1 parallel) of every leaf in order
@@ -155,10 +167,10 @@ def psi_expectation_series(
     exponent estimates.  The tree is walked depth-first in blocks of at most
     _BLOCK_ROWS rows, so memory stays bounded at any depth.  A block's
     children, serial then parallel rather than in path order, go into the
-    walk's one buffer for their generation.  The two blocks of the first
-    split are walked on the thread pool, one walk each.  Each generation's
-    block sums are added with math.fsum, exactly rounded whatever order they
-    come in.
+    walk's one buffer for their generation, and their sums are taken in a
+    two-row scratch.  The two blocks of the first split are the pool's jobs,
+    walked in lane buffers made on the calling thread.  Each generation's
+    block sums are added with math.fsum, exactly rounded in any order.
     """
     if not 0.0 < psi_exponent < math.inf:
         raise ValueError(f"psi_exponent must be positive and finite, got {psi_exponent!r}")
@@ -170,35 +182,36 @@ def psi_expectation_series(
         raise DegenerateRoot(f"root entropy {h0} is fully polarized")
     psi_sums, a_sums = [[] for _ in range(depth)], [[] for _ in range(depth)]
 
-    def step(gen: np.ndarray, n: int, levels: dict) -> list[np.ndarray]:
-        """Write the children of ``gen``, of generation n, into the walk's
-        buffer ``levels[n]``, add their sums, and return them in blocks."""
+    def step(gen: np.ndarray, n: int, buf: np.ndarray, scratch: np.ndarray) -> list[np.ndarray]:
+        """Write the children of ``gen``, of generation n, into ``buf``, add
+        their sums, taken in ``scratch``, and return them in blocks."""
         rows = gen.shape[0]
-        buf = levels.get(n)
-        if buf is None:
-            buf = levels[n] = np.empty((5, 2 * rows))
+        buf, (h, psi) = buf[:, : 2 * rows], scratch[:, : 2 * rows]
         _CHILD_FNS[kind](gen, out=(buf[:, :rows], buf[:, rows:]))
-        gen = buf.T
         # deep generations can drift past [0, 1] by a few ulps, which
         # would turn the fractional power into NaN
-        h = np.clip(kernel.entropy_array(gen), 0.0, 1.0)
-        psi_sums[n].append(float(np.sum((h * (1.0 - h)) ** psi_exponent)))
-        a_sums[n].append(float(np.sum(kernel.inertia_array(gen))))
-        return [gen[start : start + _BLOCK_ROWS] for start in range(0, 2 * rows, _BLOCK_ROWS)]
+        np.clip(entropy_of(buf, out=h), 0.0, 1.0, out=h)
+        np.multiply(np.subtract(1.0, h, out=psi), h, out=psi)
+        psi **= psi_exponent
+        psi_sums[n].append(float(np.sum(psi)))
+        a_sums[n].append(float(np.sum(inertia_of(buf, out=(h, psi)))))
+        return [buf.T[start : start + _BLOCK_ROWS] for start in range(0, 2 * rows, _BLOCK_ROWS)]
 
-    def descend(gen: np.ndarray, n: int, levels: dict) -> None:
+    def descend(gen: np.ndarray, n: int, levels: list, scratch: np.ndarray) -> None:
         if n < depth:
-            for block in step(gen, n, levels):
-                descend(block, n + 1, levels)
+            for block in step(gen, n, levels[n - split], scratch):
+                descend(block, n + 1, levels, scratch)
 
     # the calling thread steps the top of the tree down to the first split;
     # its two blocks are the pool jobs
-    jobs, n = [np.array([root.as_tuple()], dtype=float)], 0
-    while len(jobs) < 2 and n < depth:
-        jobs = step(jobs[0], n, {})
-        n += 1
-    if n < depth:  # else the top of the tree was the whole of it
-        _pool_map(lambda block: descend(block, n, {}), jobs)
+    jobs, split = [np.array([root.as_tuple()], dtype=float)], 0
+    while len(jobs) < 2 and split < depth:
+        jobs = step(jobs[0], split, np.empty((5, 2 << split)), np.empty((2, 2 << split)))
+        split += 1
+    if split < depth:  # else the top of the tree was the whole of it
+        size = 2 * _BLOCK_ROWS  # the children of any block of the walk fit
+        lane = lambda: ([np.empty((5, size)) for _ in range(split, depth)], np.empty((2, size)))
+        _pool_map(lambda job, bufs: descend(job, split, *bufs), jobs, lane)
     out = []
     for n in range(1, depth + 1):
         mean_psi = math.fsum(psi_sums[n - 1]) / 2**n
@@ -223,7 +236,8 @@ def sample_paths(
     stream as one (count, depth) draw.  The first m = min(depth,
     count.bit_length()) steps of every path are read off the exact tree at
     depth m, which has at most about 2 * count leaves; only the remaining
-    steps are taken path by path, a block of paths per pool job."""
+    steps are taken path by path, a block of paths per pool job, in its lane's
+    buffers for the generation and both children, made on the calling thread."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if count < 1:
@@ -243,14 +257,18 @@ def sample_paths(
     tree = _exact_tree(root, m, kind).T
     out = np.empty((5, count))
 
-    def step(rows: slice) -> None:
-        gen = tree[:, leaf[rows]].T
+    def step(rows: slice, bufs: np.ndarray) -> None:
+        gen, serial, parallel = bufs[:, : 5 * (rows.stop - rows.start)].reshape(3, 5, -1)
+        # mode="raise" would buffer the output: one more block-sized allocation
+        np.take(tree, leaf[rows], axis=1, out=gen, mode="clip")
         for k in range(m, depth):
-            serial, parallel = _CHILD_FNS[kind](gen)
-            gen = np.where(chars[rows, k] == _STEP_CHARS[1], parallel.T, serial.T).T
-        out[:, rows] = gen.T
+            _CHILD_FNS[kind](gen.T, out=(serial, parallel))
+            np.copyto(serial, parallel, where=chars[rows, k] == _STEP_CHARS[1])
+            gen, serial = serial, gen
+        out[:, rows] = gen
 
-    _pool_map(step, blocks)
+    _pool_map(step, blocks, lambda: np.empty((3, 5 * _BLOCK_ROWS)))
+    del tree  # before the table's H, E and A columns are allocated
     return Descendants(out.T, chars)
 
 

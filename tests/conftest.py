@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tecpol import trap
+from tecpol import process, trap
 from tecpol.channel import from_bec_pair
 
 
@@ -43,3 +43,28 @@ def traced_peak():
             tracemalloc.stop()
 
     return peak
+
+
+@pytest.fixture()
+def job_peaks(monkeypatch):
+    """The list, filled as the walkers run, of each pool job's tracemalloc peak
+    above what was traced when it started.  The jobs run one after another on
+    the calling thread (``_WORKERS = 1``), so their peaks do not mix."""
+    pool_map, peaks = process._pool_map, []
+
+    def traced_pool_map(fn, jobs, buffers):
+        def traced_job(*args):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+
+        return pool_map(traced_job, jobs, buffers)
+
+    monkeypatch.setattr(process, "_WORKERS", 1)
+    monkeypatch.setattr(process, "_pool_map", traced_pool_map)
+    tracemalloc.start()
+    try:
+        yield peaks
+    finally:
+        tracemalloc.stop()

@@ -402,10 +402,19 @@ def test_fig2_without_convergence_exits_2_and_writes_nothing(tmp_path, monkeypat
     assert list(tmp_path.iterdir()) == []
     # a bad depth exits before the trap runs
     monkeypatch.setattr(trap, "iterate_bound", lambda *a, **k: pytest.fail("trap ran"))
-    for depth, message in [(-1, "depth must be nonnegative"), (25, "depth 25 exceeds 24")]:
+    for depth, message in [(-1, "depth must be nonnegative"), (25, "depth 25 exceeds 23")]:
         assert cli.run(["fig2", "--depth", str(depth), "--out-prefix", str(prefix)]) == 2
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+def test_scatter_over_the_table_budget_exits_2_before_allocating(traced_peak, capsys):
+    # depth 23 needs about 0.92 GiB, depth 24 about 1.9 GiB of the 1 GiB budget
+    assert process.MAX_EXACT_DEPTH == 23
+    codes = []
+    peak = traced_peak(lambda: codes.append(cli.run(["scatter", "qec:0.5", "--depth", "24"])))
+    assert codes == [2] and peak < 2**20
+    assert "needs 2,013,265,920 bytes" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,0 +1,52 @@
+"""The headline chain's outputs at the CLI defaults, frozen by SHA-256.
+
+The digests hold for numpy 2.4.6: ``np.sin``, ``**`` and ``np.log10`` may
+round differently under another numpy or libm, and then these digests move
+while every tolerance-based test still passes.  A change that moves an output
+on purpose updates its digest here, and lists the old and new values.
+"""
+
+import hashlib
+import json
+
+from tecpol import cli
+
+#: file name -> SHA-256 of its bytes, as written by the commands in the test
+GOLDEN = {
+    "inner.csv": "1339de99a7d8f7a3b22c41ff0c740d031321e18974bf288a910fe220b324220a",
+    "outer.csv": "2464b4a6e6957f18df8929a92ab249cffb0626d9cedff35a5ef10bbd004bbd03",
+    "power-bec.json": "2f298583e7eefd71c8af6bef052bf75657c5d28ef1b582c11ef9a6fa92ec5734",
+    "power-alpha.json": "b79b7fa1bae80a42b168931f513896d180ca3cfae8ee5d364cb9752cbd64ed03",
+    "power-curve.json": "103ea90f6bc3b88eef7e192dd486c0be37d9a62d2c1accaf01854c8f2e992c1e",
+    "eigenfunction-bec.csv": "78d33b0246ce89f267ca81dddc0f27e1c312b07cfc291fd3c062b79cfb7a412a",
+    "eigenfunction-alpha.csv": "5d3310cacb4a6e6a8e572bf55e6e55473fe8d63d05e3d86bc5fab1de75361ffc",
+    "eigenfunction-curve.csv": "fc3e047f3d73790a6ec1ce1b723c20470596b39527fec7244bf75e8a29678934",
+    "lemma.json": "e3be329a398e0066684992a1938be4ac6b98000c18b3c23f1eb184085d83713f",
+    "scatter16.csv": "58e66ad4c1904a88de6775622ce309979d6a8321166cb7ecedc955a25d147e3c",
+    "fig2_curves.csv": "4cbc10cdf4f793ce72f4e473553df2febf565786d98d6bbbcb55d594ea471cd2",
+    "fig2_scatter.csv": "6aa60e679d8b3490f3cac354b271d8d1f6532d93940f4ab676fe8f05dcf75b54",
+}
+#: lambda of ``eigen power`` on each map, bit for bit
+LAMBDAS = {"bec": 0.8260325171024395, "alpha": 0.8170680274609192, "curve": 0.8119403170568078}
+
+
+def test_headline_outputs_are_byte_identical(tmp_path, capsys):
+    def run(*argv):
+        assert cli.run([str(a) for a in argv]) == 0, argv
+
+    run("trap", "--mode", "inner", "--out", tmp_path / "inner.csv")
+    run("trap", "--mode", "outer", "--out", tmp_path / "outer.csv")
+    for name in LAMBDAS:
+        argv = ["eigen", "power", "--map", name, "--out", tmp_path / f"power-{name}.json"]
+        argv += ["--eigenfunction-out", tmp_path / f"eigenfunction-{name}.csv"]
+        if name == "curve":
+            argv += ["--curve-file", tmp_path / "inner.csv"]
+        run(*argv)
+    run("eigen", "verify-lemma", "--out", tmp_path / "lemma.json")
+    run("scatter", "becpair:0.55,0.55", "--depth", 16, "--out", tmp_path / "scatter16.csv")
+    run("fig2", "--out-prefix", tmp_path / "fig2")
+    capsys.readouterr()
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN}
+    assert got == GOLDEN
+    for name, lam in LAMBDAS.items():
+        assert json.loads((tmp_path / f"power-{name}.json").read_text())["lambda"] == lam

@@ -1,6 +1,9 @@
 import io
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,9 +262,9 @@ def test_series_pool_gets_the_two_blocks_of_the_first_split(
 ):
     pool_map, sizes = process._pool_map, []
 
-    def counting_pool_map(fn, items):
+    def counting_pool_map(fn, items, buffers):
         sizes.append(len(items))
-        return pool_map(fn, items)
+        return pool_map(fn, items, buffers)
 
     monkeypatch.setattr(process, "_pool_map", counting_pool_map)
     monkeypatch.setattr(process, "_BLOCK_ROWS", block_rows)
@@ -274,10 +277,51 @@ def test_series_pool_gets_the_two_blocks_of_the_first_split(
 def test_psi_series_memory_does_not_grow_with_the_worker_count(
     bec55, monkeypatch, traced_peak, workers
 ):
-    # each pool job walks with buffers of its own, so more concurrent walks
+    # each lane walks with buffers of its own, so more concurrent lanes
     # would hold more memory
     monkeypatch.setattr(process, "_WORKERS", workers)
     assert traced_peak(lambda: process.psi_expectation_series(bec55, 19)) < 16 * 2**20
+
+
+@pytest.mark.parametrize("kind", [TWIST, BASE])
+def test_pool_jobs_allocate_nothing_block_sized(bec55, job_peaks, kind):
+    # each lane's buffers are made on the calling thread before its jobs run;
+    # one column of a 2^14-row block alone is 128 KiB
+    process.psi_expectation_series(bec55, 19, kind)
+    process.sample_paths(bec55, 40, 100_000, 3, kind)
+    assert len(job_peaks) == 2 + 7  # the two blocks of the first split, 7 blocks of paths
+    assert max(job_peaks) < 128 * 2**10
+
+
+#: prints the peak RSS, in KiB, of three rounds of the pooled walks on
+#: ``sys.argv[1]`` workers
+_WALKS_PEAK_RSS = """
+import resource, sys
+from tecpol import process
+from tecpol.channel import from_bec_pair
+process._WORKERS = int(sys.argv[1])
+root = from_bec_pair(0.55, 0.55)
+for _ in range(3):
+    for kind in process.KernelKind:
+        process.psi_expectation_series(root, 20, kind)
+    process.sample_paths(root, 40, 100_000, 3)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="glibc's per-thread arenas; ru_maxrss in KiB")
+def test_extra_workers_add_no_arena_memory():
+    # a block freed on a worker thread stays in that thread's malloc arena, so
+    # walks that allocate in their jobs hold 13-17 MiB more on two workers
+    src = str(Path(process.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def peak_kib(workers: int) -> int:
+        argv = [sys.executable, "-c", _WALKS_PEAK_RSS, str(workers)]
+        run = subprocess.run(argv, env=env, capture_output=True, timeout=120, check=True)
+        return int(run.stdout)
+
+    assert peak_kib(2) - peak_kib(1) < 8 * 2**10
 
 
 def test_block_sums_survive_thread_switches(bec55, monkeypatch):
