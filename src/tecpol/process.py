@@ -2,13 +2,14 @@
 
 A generation is kept as a column-major (N, 5) float array.  Enumeration and
 sampling keep it in path order, the children of row i at 2i and 2i + 1, so
-path strings sorted with s < p coincide with array order.  The psi series
-needs only sums: it writes all serial children, then all parallel ones, into
-the two contiguous halves of one buffer per generation, which every block of
-that generation reuses.  Results are ``Descendants`` tables.  Every CSV the
-CLI prints goes through ``write_csv``, which lays out ``_BLOCK_ROWS`` lines at
-a time in numpy, byte-identical to ``%.6g``, so its memory stays constant;
-Python's % formats only near-ties and non-finite values.
+path strings sorted with s < p coincide with array order.  Enumeration holds
+its whole table, (72 + depth) bytes per leaf: up to depth 23, about 0.74 GiB.
+Sampling reads the first m = min(depth, count.bit_length() - 1) steps of its
+paths off the exact tree and steps each path below it, picking each child by
+a bit select, not a branch.  The psi series needs only sums: it writes the
+serial, then the parallel children into the two halves of one buffer per
+generation, which all its blocks reuse.  Every CSV goes through ``write_csv``:
+numpy lays out ``_BLOCK_ROWS`` lines at a time, byte-identical to ``%.6g``.
 
 The psi series and sampling split their rows into blocks of ``_BLOCK_ROWS``
 and run the blocks on a thread pool; numpy releases the GIL inside its loops,
@@ -38,8 +39,8 @@ from .errors import DegenerateRoot, DepthTooLarge
 
 
 def _table_bytes(depth: int) -> int:
-    """Enumeration's peak: a row, H, E, A, two path arrays and a temporary per leaf."""
-    return (72 + 2 * depth) << depth
+    """Enumeration's peak: a row, H, E, A, the path array and a temporary per leaf."""
+    return (72 + depth) << depth
 
 
 _TABLE_BUDGET = 1 << 30
@@ -81,8 +82,10 @@ _CHILD_FNS = {
 }
 
 
-#: the path characters of a serial (0) and a parallel (1) step
-_STEP_CHARS = np.frombuffer(b"sp", dtype=np.uint8)
+def _as_path_chars(choices: np.ndarray) -> np.ndarray:
+    """uint8 step choices c, 0 serial or 1 parallel, made ``s`` - 3c in place: s or p."""
+    choices *= 3
+    return np.subtract(ord("s"), choices, out=choices)
 
 
 class DescendantRecord:
@@ -144,7 +147,7 @@ def enumerate_descendants(
     gen = _exact_tree(root, depth, kind)
     # np.indices lists the step choices (0 serial, 1 parallel) of every leaf in order
     choices = np.indices((2,) * depth, dtype=np.uint8).reshape(depth, gen.shape[0]).T
-    return Descendants(gen, _STEP_CHARS[choices])
+    return Descendants(gen, _as_path_chars(choices))
 
 
 def _exact_tree(root: TecChannel, depth: int, kind: KernelKind) -> np.ndarray:
@@ -234,40 +237,49 @@ def sample_paths(
 
     The choices are drawn block by block, in order, which gives the same
     stream as one (count, depth) draw.  The first m = min(depth,
-    count.bit_length()) steps of every path are read off the exact tree at
-    depth m, which has at most about 2 * count leaves; only the remaining
-    steps are taken path by path, a block of paths per pool job, in its lane's
-    buffers for the generation and both children, made on the calling thread."""
+    count.bit_length() - 1) steps of every path are read off the exact tree at
+    depth m, which has at most ``count`` leaves; only the remaining steps are
+    taken path by path, a block of paths per pool job, in its lane's buffers
+    for the generation, both children and the pick mask, made on this thread."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if count < 1:
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng(seed)
-    m = min(depth, operator.index(count).bit_length())
+    m = min(depth, operator.index(count).bit_length() - 1)
     weights = 1 << np.arange(m - 1, -1, -1)
     blocks = [slice(i, min(i + _BLOCK_ROWS, count)) for i in range(0, count, _BLOCK_ROWS)]
     chars = np.empty((count, depth), dtype=np.uint8)
     leaf = np.empty(count, dtype=np.int64)
     for rows in blocks:
         choices = rng.integers(0, 2, size=(rows.stop - rows.start, depth))
-        chars[rows] = _STEP_CHARS[choices]
         # leaf index of the path's first m choices, read as a binary number
         leaf[rows] = choices[:, :m] @ weights
+        chars[rows] = choices
+        _as_path_chars(chars[rows])
     del choices  # the last block's int64 draw
     tree = _exact_tree(root, m, kind).T
     out = np.empty((5, count))
 
-    def step(rows: slice, bufs: np.ndarray) -> None:
-        gen, serial, parallel = bufs[:, : 5 * (rows.stop - rows.start)].reshape(3, 5, -1)
+    def step(rows: slice, buf: np.ndarray) -> None:
+        n = rows.stop - rows.start
+        gen, serial, parallel = buf[: 15 * n].reshape(3, 5, n)
+        keep = buf[15 * n : 16 * n].view(np.uint64)
+        g, s, p = gen.view(np.uint64), serial.view(np.uint64), parallel.view(np.uint64)
         # mode="raise" would buffer the output: one more block-sized allocation
         np.take(tree, leaf[rows], axis=1, out=gen, mode="clip")
         for k in range(m, depth):
             _CHILD_FNS[kind](gen.T, out=(serial, parallel))
-            np.copyto(serial, parallel, where=chars[rows, k] == _STEP_CHARS[1])
-            gen, serial = serial, gen
+            # g = s ^ ((s ^ p) & keep), keep all ones on the rows that step p: a
+            # masked copy mispredicts a branch on half the rows, and building keep
+            # by np.subtract(0, mask, casting="unsafe") allocates a cast buffer
+            np.copyto(keep, chars[rows, k] == ord("p"))
+            np.negative(keep, out=keep)
+            np.bitwise_and(np.bitwise_xor(s, p, out=g), keep, out=g)
+            g ^= s
         out[:, rows] = gen
 
-    _pool_map(step, blocks, lambda: np.empty((3, 5 * _BLOCK_ROWS)))
+    _pool_map(step, blocks, lambda: np.empty(16 * _BLOCK_ROWS))
     del tree  # before the table's H, E and A columns are allocated
     return Descendants(out.T, chars)
 

@@ -409,12 +409,12 @@ def test_fig2_without_convergence_exits_2_and_writes_nothing(tmp_path, monkeypat
 
 
 def test_scatter_over_the_table_budget_exits_2_before_allocating(traced_peak, capsys):
-    # depth 23 needs about 0.92 GiB, depth 24 about 1.9 GiB of the 1 GiB budget
+    # depth 23 needs about 0.74 GiB, depth 24 about 1.5 GiB of the 1 GiB budget
     assert process.MAX_EXACT_DEPTH == 23
     codes = []
     peak = traced_peak(lambda: codes.append(cli.run(["scatter", "qec:0.5", "--depth", "24"])))
     assert codes == [2] and peak < 2**20
-    assert "needs 2,013,265,920 bytes" in capsys.readouterr().err
+    assert "needs 1,610,612,736 bytes" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code(capsys):

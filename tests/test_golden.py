@@ -1,4 +1,4 @@
-"""The headline chain's outputs at the CLI defaults, frozen by SHA-256.
+"""The headline chain's outputs at the CLI defaults and seeded sampling, frozen by SHA-256.
 
 The digests hold for numpy 2.4.6: ``np.sin``, ``**`` and ``np.log10`` may
 round differently under another numpy or libm, and then these digests move
@@ -9,7 +9,11 @@ on purpose updates its digest here, and lists the old and new values.
 import hashlib
 import json
 
-from tecpol import cli
+import numpy as np
+import pytest
+
+from tecpol import cli, process
+from tecpol.channel import from_bec_pair
 
 #: file name -> SHA-256 of its bytes, as written by the commands in the test
 GOLDEN = {
@@ -25,6 +29,18 @@ GOLDEN = {
     "scatter16.csv": "58e66ad4c1904a88de6775622ce309979d6a8321166cb7ecedc955a25d147e3c",
     "fig2_curves.csv": "4cbc10cdf4f793ce72f4e473553df2febf565786d98d6bbbcb55d594ea471cd2",
     "fig2_scatter.csv": "6aa60e679d8b3490f3cac354b271d8d1f6532d93940f4ab676fe8f05dcf75b54",
+}
+#: kernel -> SHA-256 of the rows' float64 bits and of the path characters of
+#: ``sample_paths(becpair:0.55,0.55, 40, 100_000, seed=3)``, both in C order
+SAMPLED = {
+    "twist": (
+        "ab08168b1e39d8729999cf38d2ecf6c956b6af30506f5f0feb48527235cfef63",
+        "b13e5884a147fbbd30eb58c70aff60c4d435c7dd5050c469cf994e229cc06d8d",
+    ),
+    "untwisted": (
+        "75ba2cf9690308654df619f45ebbc2c480b10611a00477f50bb23f6b0b7b519b",
+        "b13e5884a147fbbd30eb58c70aff60c4d435c7dd5050c469cf994e229cc06d8d",
+    ),
 }
 #: lambda of ``eigen power`` on each map, bit for bit
 LAMBDAS = {"bec": 0.8260325171024395, "alpha": 0.8170680274609192, "curve": 0.8119403170568078}
@@ -50,3 +66,11 @@ def test_headline_outputs_are_byte_identical(tmp_path, capsys):
     assert got == GOLDEN
     for name, lam in LAMBDAS.items():
         assert json.loads((tmp_path / f"power-{name}.json").read_text())["lambda"] == lam
+
+
+@pytest.mark.parametrize("kind", process.KernelKind)
+def test_sampled_paths_are_bit_identical(kind):
+    table = process.sample_paths(from_bec_pair(0.55, 0.55), 40, 100_000, 3, kind)
+    arrays = (table.rows.view(np.uint64), table.path_chars)
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays)
+    assert got == SAMPLED[kind.value]

@@ -188,6 +188,8 @@ def _all_steps_sample(root, depth, count, seed, kind):
         (0, 5), (1, 3), (3, 100), (5, 1000), (12, 50), (40, 1), (40, 20_000),
         # several blocks, the last one ragged
         (24, 3 * process._BLOCK_ROWS + 7),
+        # the exact tree's depth on and next to a power of two
+        (20, 1 << 14), (20, (1 << 14) + 1), (20, 2),
     ],
 )
 def test_sample_paths_match_the_all_steps_reference(bec55, kind, depth, count):
@@ -229,7 +231,7 @@ def test_psi_series_memory_is_bounded(bec55, traced_peak):
 
 def test_sample_paths_memory_is_bounded(bec55, traced_peak):
     # the choices are drawn block by block: no (count, depth) int64 matrix
-    assert traced_peak(lambda: process.sample_paths(bec55, 40, 100_000, 3)) < 32 * 2**20
+    assert traced_peak(lambda: process.sample_paths(bec55, 40, 100_000, 3)) < 16 * 2**20
 
 
 @pytest.mark.parametrize("workers", [1, 3, 4])
