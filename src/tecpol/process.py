@@ -84,8 +84,7 @@ _CHILD_FNS = {
 
 def _as_path_chars(choices: np.ndarray) -> np.ndarray:
     """uint8 step choices c, 0 serial or 1 parallel, made ``s`` - 3c in place: s or p."""
-    choices *= 3
-    return np.subtract(ord("s"), choices, out=choices)
+    return np.subtract(ord("s"), np.multiply(choices, 3, out=choices), out=choices)
 
 
 class DescendantRecord:
@@ -264,18 +263,19 @@ def sample_paths(
     def step(rows: slice, buf: np.ndarray) -> None:
         n = rows.stop - rows.start
         gen, serial, parallel = buf[: 15 * n].reshape(3, 5, n)
-        keep = buf[15 * n : 16 * n].view(np.uint64)
+        keep, mask = buf[15 * n : 16 * n].view(np.uint64), buf[14 * n :].view(np.bool_)[:n]
         g, s, p = gen.view(np.uint64), serial.view(np.uint64), parallel.view(np.uint64)
-        # mode="raise" would buffer the output: one more block-sized allocation
-        np.take(tree, leaf[rows], axis=1, out=gen, mode="clip")
+        np.take(tree, leaf[rows], axis=1, out=gen, mode="clip")  # "raise" buffers the output
         for k in range(m, depth):
-            _CHILD_FNS[kind](gen.T, out=(serial, parallel))
-            # g = s ^ ((s ^ p) & keep), keep all ones on the rows that step p: a
-            # masked copy mispredicts a branch on half the rows, and building keep
-            # by np.subtract(0, mask, casting="unsafe") allocates a cast buffer
-            np.copyto(keep, chars[rows, k] == ord("p"))
+            # g = s ^ ((s ^ p) & keep), keep all ones on the rows that step p: a masked
+            # copy mispredicts a branch on half the rows.  keep's mask is made in parallel's
+            # bytes, and keep is not broadcast over g, which would allocate on small blocks
+            np.equal(chars[rows, k], ord("p"), out=mask)
+            np.copyto(keep, mask)
             np.negative(keep, out=keep)
-            np.bitwise_and(np.bitwise_xor(s, p, out=g), keep, out=g)
+            _CHILD_FNS[kind](gen.T, out=(serial, parallel))
+            for g_row in np.bitwise_xor(s, p, out=g):
+                g_row &= keep
             g ^= s
         out[:, rows] = gen
 

@@ -229,9 +229,16 @@ def test_psi_series_memory_is_bounded(bec55, traced_peak):
     assert traced_peak(lambda: process.psi_expectation_series(bec55, 19)) < 16 * 2**20
 
 
-def test_sample_paths_memory_is_bounded(bec55, traced_peak):
+def test_sample_paths_memory_is_bounded(bec55, monkeypatch, traced_peak):
     # the choices are drawn block by block: no (count, depth) int64 matrix
+    monkeypatch.setattr(process, "_WORKERS", 1)
     assert traced_peak(lambda: process.sample_paths(bec55, 40, 100_000, 3)) < 16 * 2**20
+
+
+def test_sample_paths_memory_grows_by_one_buffer_per_lane(bec55, monkeypatch, traced_peak):
+    # each lane holds a 2 MiB buffer; 100k paths make 7 blocks, so 7 lanes at most
+    monkeypatch.setattr(process, "_WORKERS", 8)
+    assert traced_peak(lambda: process.sample_paths(bec55, 40, 100_000, 3)) < 28 * 2**20
 
 
 @pytest.mark.parametrize("workers", [1, 3, 4])
@@ -288,11 +295,11 @@ def test_psi_series_memory_does_not_grow_with_the_worker_count(
 @pytest.mark.parametrize("kind", [TWIST, BASE])
 def test_pool_jobs_allocate_nothing_block_sized(bec55, job_peaks, kind):
     # each lane's buffers are made on the calling thread before its jobs run;
-    # one column of a 2^14-row block alone is 128 KiB
+    # one bool column of a 2^14-row block alone is 16 KiB
     process.psi_expectation_series(bec55, 19, kind)
     process.sample_paths(bec55, 40, 100_000, 3, kind)
     assert len(job_peaks) == 2 + 7  # the two blocks of the first split, 7 blocks of paths
-    assert max(job_peaks) < 128 * 2**10
+    assert max(job_peaks) < 16 * 2**10
 
 
 #: prints the peak RSS, in KiB, of three rounds of the pooled walks on
