@@ -122,6 +122,10 @@ def balanced_tuple(x, y):
     return np.maximum(1.0 - x - y / 2.0, 0.0), e3, e3, e3, np.maximum(x - y / 2.0, 0.0)
 
 
+#: psi(x) = (x(1-x))**PSI_EXPONENT of the slope series and power iteration; no limit depends on it
+PSI_EXPONENT = 0.7
+
+
 # H, E and A of a five-tuple (p, q, r, s, t) of floats or of array columns, for
 # functionals() and kernel's array forms; they write into ``out`` (A: result, scratch) if given.
 

@@ -56,13 +56,14 @@ def _print_functionals(w: channel.TecChannel, fh) -> None:
 def _given(args) -> dict:
     """The solver options given on the command line; the solver's own defaults
     stand for the rest.  A command's parser declares only the ones it reads."""
-    names = ("nodes", "tol", "max_iters", "psi_exponent")
+    names = ("nodes", "tol", "max_iters")
     return {n: v for n in names if (v := getattr(args, n, None)) is not None}
 
 
 def _cmd_show(args) -> int:
+    w = parse_channel_spec(args.channel)  # before the output file opens
     with _output(args.out) as fh:
-        _print_functionals(parse_channel_spec(args.channel), fh)
+        _print_functionals(w, fh)
     return 0
 
 
@@ -88,10 +89,7 @@ def _cmd_scatter(args) -> int:
 
 def _cmd_series(args) -> int:
     stats = process.psi_expectation_series(
-        parse_channel_spec(args.channel),
-        args.depth,
-        process.KernelKind(args.kernel),
-        **_given(args),
+        parse_channel_spec(args.channel), args.depth, process.KernelKind(args.kernel)
     )
     rows = [(st.generation, st.mean_psi, st.neg_log2_ratio, st.mean_inertia) for st in stats]
     with _output(args.out) as fh:
@@ -186,13 +184,8 @@ def _cmd_fig2(args) -> int:
 
 def _cmd_fig3(args) -> int:
     root = parse_channel_spec(args.channel)
-    options = _given(args)
-    twist = process.psi_expectation_series(
-        root, args.depth, process.KernelKind.QUATERNARY_TWIST, **options
-    )
-    base = process.psi_expectation_series(
-        root, args.depth, process.KernelKind.UNTWISTED_BASELINE, **options
-    )
+    twist = process.psi_expectation_series(root, args.depth, process.KernelKind.QUATERNARY_TWIST)
+    base = process.psi_expectation_series(root, args.depth, process.KernelKind.UNTWISTED_BASELINE)
     rows = [(a.generation, a.neg_log2_ratio, b.neg_log2_ratio) for a, b in zip(twist, base)]
     with _output(args.out) as fh:
         process.write_csv("n,twist,untwisted", np.array(rows).reshape(-1, 3).T, fh)
@@ -219,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     solver = argparse.ArgumentParser(add_help=False, parents=[nodes])
     solver.add_argument("--tol", type=float, default=None)
     solver.add_argument("--max-iters", type=int, default=None)
-    psi = argparse.ArgumentParser(add_help=False)
-    psi.add_argument("--psi-exponent", type=float, default=None)
 
     p = sub.add_parser("show", parents=[chan, out], help="print channel functionals")
     p.set_defaults(func=_cmd_show)
@@ -233,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", choices=("twist", "untwisted"), default="twist")
     p.set_defaults(func=_cmd_scatter)
 
-    p = sub.add_parser("series", parents=[chan, out, psi], help="per-generation expectation CSV")
+    p = sub.add_parser("series", parents=[chan, out], help="per-generation expectation CSV")
     p.add_argument("--depth", type=int, default=20)
     p.add_argument("--kernel", choices=("twist", "untwisted"), default="twist")
     p.set_defaults(func=_cmd_series)
@@ -266,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-prefix", default="fig2")
     p.set_defaults(func=_cmd_fig2)
 
-    p = sub.add_parser("fig3", parents=[root, out, psi], help="slope series for both kernels")
+    p = sub.add_parser("fig3", parents=[root, out], help="slope series for both kernels")
     p.add_argument("--depth", type=int, default=20)
     p.set_defaults(func=_cmd_fig3)
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import require_balanced
+from .channel import PSI_EXPONENT, require_balanced
 from .errors import OutOfRange
 from .kernel import balanced_children
 from .spline import LinearSpline, check_solver, fixed_point
@@ -135,7 +135,7 @@ def power_iterate(
     The grid is graded towards both endpoints (``_graded_grid``).  The map
     psi -> psi(h_s) + psi(h_p) is built once, as two ``_interp_stencil``s
     bit-identical to ``np.interp``, 4 entries per row in all: the matrix a
-    scipy.sparse cross-check would use.  The iteration starts at (x(1-x))^0.7.
+    scipy.sparse cross-check would use.  The iteration starts at (x(1-x))**PSI_EXPONENT.
     lambda is the worst node-wise Rayleigh ratio of the converged iterate on
     the same stencils (over nodes where psi exceeds ``PSI_FLOOR``), which is
     robust to the normalization convention of the recursion itself.  Concavity
@@ -156,7 +156,7 @@ def power_iterate(
         nxt = at_hs(psi) + at_hp(psi)
         return nxt / nxt.max()
 
-    psi = (grid * (1.0 - grid)) ** 0.7
+    psi = (grid * (1.0 - grid)) ** PSI_EXPONENT
     psi /= psi.max()
     psi, iterations, residual = fixed_point(step, psi, tol, max_iters, "power iteration")
     lam = _rayleigh(psi, at_hs, at_hp, PSI_FLOOR)

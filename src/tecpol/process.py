@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .channel import TecChannel, entropy_of, functionals, inertia_of
+from .channel import PSI_EXPONENT, TecChannel, entropy_of, functionals, inertia_of
 from .errors import DegenerateRoot, DepthTooLarge
 
 
@@ -161,11 +161,10 @@ def psi_expectation_series(
     root: TecChannel,
     depth: int,
     kind: KernelKind = KernelKind.QUATERNARY_TWIST,
-    psi_exponent: float = 0.7,
 ) -> list[GenerationStats]:
     """Exact per-generation expectation of psi(H) over the full tree.
 
-    psi(x) = (x(1-x))**psi_exponent, the slope diagnostic behind the scaling
+    psi(x) = (x(1-x))**PSI_EXPONENT, the slope diagnostic behind the scaling
     exponent estimates.  The tree is walked depth-first in blocks of at most
     _BLOCK_ROWS rows, so memory stays bounded at any depth.  A block's
     children, serial then parallel rather than in path order, go into the
@@ -174,12 +173,10 @@ def psi_expectation_series(
     walked in lane buffers made on the calling thread.  Each generation's
     block sums are added with math.fsum, exactly rounded in any order.
     """
-    if not 0.0 < psi_exponent < math.inf:
-        raise ValueError(f"psi_exponent must be positive and finite, got {psi_exponent!r}")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     h0 = functionals(root).entropy
-    psi0 = (h0 * (1.0 - h0)) ** psi_exponent
+    psi0 = (h0 * (1.0 - h0)) ** PSI_EXPONENT
     if psi0 <= 0.0:
         raise DegenerateRoot(f"root entropy {h0} is fully polarized")
     psi_sums, a_sums = [[] for _ in range(depth)], [[] for _ in range(depth)]
@@ -194,7 +191,7 @@ def psi_expectation_series(
         # would turn the fractional power into NaN
         np.clip(entropy_of(buf, out=h), 0.0, 1.0, out=h)
         np.multiply(np.subtract(1.0, h, out=psi), h, out=psi)
-        psi **= psi_exponent
+        psi **= PSI_EXPONENT
         psi_sums[n].append(float(np.sum(psi)))
         a_sums[n].append(float(np.sum(inertia_of(buf, out=(h, psi)))))
         return [buf.T[start : start + _BLOCK_ROWS] for start in range(0, 2 * rows, _BLOCK_ROWS)]

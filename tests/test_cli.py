@@ -434,9 +434,18 @@ def test_usage_error_exit_code(capsys):
         (["eigen", "power", "--tol", "0"], "tol"),
         (["eigen", "power", "--max-iters", "0"], "max_iters"),
         (["eigen", "power", "--psi-exponent", "0.5"], "unrecognized arguments"),
-        (["series", "becpair:0.55,0.55", "--depth", "4", "--psi-exponent", "-1"], "psi_exponent"),
-        (["series", "becpair:0.55,0.55", "--depth", "4", "--psi-exponent", "nan"], "psi_exponent"),
-        (["fig3", "--depth", "4", "--psi-exponent", "0"], "psi_exponent"),
+        (
+            ["series", "becpair:0.55,0.55", "--depth", "4", "--psi-exponent", "-1"],
+            "unrecognized arguments: --psi-exponent",
+        ),
+        (
+            ["series", "becpair:0.55,0.55", "--depth", "4", "--psi-exponent", "nan"],
+            "unrecognized arguments: --psi-exponent",
+        ),
+        (
+            ["fig3", "--depth", "4", "--psi-exponent", "0"],
+            "unrecognized arguments: --psi-exponent",
+        ),
         (["eigen", "power", "--max-iters", "3"], "did not reach"),
     ],
     ids=[
@@ -447,9 +456,9 @@ def test_usage_error_exit_code(capsys):
         "eigen-tol-0",
         "eigen-max-iters-0",
         "eigen-psi-exponent-unrecognized",
-        "series-psi-exponent-negative",
-        "series-psi-exponent-nan",
-        "fig3-psi-exponent-0",
+        "series-psi-exponent-negative-unrecognized",
+        "series-psi-exponent-nan-unrecognized",
+        "fig3-psi-exponent-0-unrecognized",
         "eigen-no-convergence",
     ],
 )
@@ -458,6 +467,41 @@ def test_solver_argument_errors_exit_2(tmp_path, capsys, argv, name):
     assert cli.run(argv + ["--out", str(out)]) == 2
     assert name in capsys.readouterr().err
     assert not out.exists()
+
+
+_CURVE = ["eigen", "power", "--map", "curve", "--curve-file", "curve.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv, curve, message",
+    [
+        (_CURVE, "0,0\n", "need matching 1-d nodes/values with at least 2 entries"),
+        (_CURVE, "0,0\n0.5,nan\n1,0\n", "nodes and values must be finite"),
+        (_CURVE, "0,0\ninf,0\n", "nodes and values must be finite"),
+        (_CURVE, "0,0\n0.6,0.1\n0.4,0.1\n1,0\n", "nodes must be strictly increasing"),
+        (_CURVE[:4], None, "--curve-file is required with --map curve"),
+        (["show", "tec:nan,0,0,0,1"], None, "component p is not finite"),
+        (["show", "becpair:1.5,0.5"], None, "outside [0, 1]"),
+        (["eigen", "verify-lemma", "--nodes", "999"], None, "need at least 1000 nodes"),
+    ],
+    ids=[
+        "curve-one-row",
+        "curve-nan-value",
+        "curve-inf-node",
+        "curve-decreasing",
+        "curve-file-missing",
+        "show-tec-nan",
+        "show-becpair-outside",
+        "verify-lemma-999-nodes",
+    ],
+)
+def test_bad_input_exits_2_without_output(tmp_path, monkeypatch, capsys, argv, curve, message):
+    monkeypatch.chdir(tmp_path)
+    if curve is not None:
+        Path("curve.csv").write_text("x,y\n" + curve)
+    assert cli.run(argv + ["--out", "out.txt"]) == 2
+    assert message in capsys.readouterr().err
+    assert not Path("out.txt").exists()
 
 
 @pytest.mark.parametrize("bad", ["0.5,0.1,3", "0.5"], ids=["three-values", "one-value"])

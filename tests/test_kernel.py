@@ -188,6 +188,12 @@ def test_oracle_uniform_example():
     assert_close(got, want)
 
 
+def test_oracle_rejects_an_unknown_mode():
+    u = new_tec(0.2, 0.2, 0.2, 0.2, 0.2)
+    with pytest.raises(ValueError, match="mode must be 'serial' or 'parallel'"):
+        kernel.brute_force_combine(u, u, "bogus")
+
+
 @given(tec_tuples(), tec_tuples())
 def test_closed_forms_match_oracle(cu, cv):
     u, v = new_tec(*cu), new_tec(*cv)

@@ -138,6 +138,11 @@ def test_sample_paths_rejects_negative_depth(bec55):
         process.sample_paths(bec55, -1, 10, seed=0)
 
 
+def test_sample_paths_rejects_zero_count(bec55):
+    with pytest.raises(ValueError, match="count must be at least 1"):
+        process.sample_paths(bec55, 4, 0, seed=0)
+
+
 def test_sample_paths_deterministic(bec55):
     a = process.sample_paths(bec55, 12, 50, seed=3)
     b = process.sample_paths(bec55, 12, 50, seed=3)
@@ -158,14 +163,14 @@ def test_sample_paths_mean_matches_exact_tree(bec55):
 # --- references: the breadth-first series and the all-steps sampler ---------
 
 
-def _breadth_first_series(root, depth, kind, psi_exponent=0.7):
+def _breadth_first_series(root, depth, kind):
     """(mean psi, mean inertia) per generation, holding whole generations."""
     gen = np.array([root.as_tuple()], dtype=float)
     out = []
     for _ in range(depth):
         gen = process._evolve_array(gen, kind)
         h = np.clip(kernel.entropy_array(gen), 0.0, 1.0)
-        mean_psi = float(np.mean((h * (1.0 - h)) ** psi_exponent))
+        mean_psi = float(np.mean((h * (1.0 - h)) ** 0.7))
         out.append((mean_psi, float(np.mean(kernel.inertia_array(gen)))))
     return out
 
