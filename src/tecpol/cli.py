@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import Optional
 
 import numpy as np
@@ -161,6 +162,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
+    if args.plot_points < 2:
+        raise ValueError(f"--plot-points must be at least 2, got {args.plot_points}")
     # enumerated first, so a bad depth exits before the trap runs or a file opens
     records = process.enumerate_descendants(
         parse_channel_spec(args.channel), args.depth, process.KernelKind.QUATERNARY_TWIST
@@ -268,7 +271,19 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+@functools.cache
+def _keep_heap() -> None:
+    """Keep numpy's MB-sized temporaries on glibc's heap, untrimmed, so each step
+    reuses the pages the last one freed.  Only run() calls it: importers keep
+    the allocator as they found it."""
+    with suppress(OSError, AttributeError, TypeError):  # no mallopt; Windows: TypeError
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: the cap of glibc's dynamic threshold
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice it, as glibc's dynamic rule pairs them
+
+
 def run(argv=None) -> int:
+    _keep_heap()
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

@@ -483,6 +483,9 @@ _CURVE = ["eigen", "power", "--map", "curve", "--curve-file", "curve.csv"]
         (["show", "tec:nan,0,0,0,1"], None, "component p is not finite"),
         (["show", "becpair:1.5,0.5"], None, "outside [0, 1]"),
         (["eigen", "verify-lemma", "--nodes", "999"], None, "need at least 1000 nodes"),
+        # depth 99 fails the enumeration at once, so these show the check comes first
+        (["fig2", "--depth", "99", "--plot-points", "0"], None, "--plot-points must be at least 2"),
+        (["fig2", "--depth", "99", "--plot-points", "-3"], None, "--plot-points must be at least 2"),
     ],
     ids=[
         "curve-one-row",
@@ -493,15 +496,19 @@ _CURVE = ["eigen", "power", "--map", "curve", "--curve-file", "curve.csv"]
         "show-tec-nan",
         "show-becpair-outside",
         "verify-lemma-999-nodes",
+        "fig2-plot-points-0",
+        "fig2-plot-points-negative",
     ],
 )
 def test_bad_input_exits_2_without_output(tmp_path, monkeypatch, capsys, argv, curve, message):
     monkeypatch.chdir(tmp_path)
     if curve is not None:
         Path("curve.csv").write_text("x,y\n" + curve)
-    assert cli.run(argv + ["--out", "out.txt"]) == 2
+    before = set(tmp_path.iterdir())
+    out = ["--out-prefix", "out"] if argv[0] == "fig2" else ["--out", "out.txt"]
+    assert cli.run(argv + out) == 2
     assert message in capsys.readouterr().err
-    assert not Path("out.txt").exists()
+    assert set(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("bad", ["0.5,0.1,3", "0.5"], ids=["three-values", "one-value"])
@@ -544,3 +551,74 @@ def test_cli_import_leaves_the_thread_pool_unloaded():
     code = "import sys, tecpol.cli; sys.exit('concurrent.futures' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def _raises(exc):
+    def cdll(name):
+        raise exc
+
+    return cdll
+
+
+@pytest.mark.parametrize(
+    "cdll",
+    [
+        _raises(OSError("None: cannot open shared object file")),
+        _raises(TypeError("argument of type 'NoneType' is not iterable")),  # CDLL(None) on Windows
+        lambda name: object(),
+    ],
+    ids=["no-libc", "windows", "no-mallopt"],
+)
+def test_keep_heap_does_nothing_without_mallopt(monkeypatch, capsys, cdll):
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    cli._keep_heap.cache_clear()
+    try:
+        assert cli.run(["show", "qec:0.3"]) == 0  # run() calls _keep_heap first
+    finally:
+        cli._keep_heap.cache_clear()
+    capsys.readouterr()
+
+
+def test_keep_heap_sets_both_thresholds_once_per_process(monkeypatch, capsys):
+    calls = []
+
+    class LibC:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: LibC())
+    cli._keep_heap.cache_clear()
+    try:
+        assert cli.run(["show", "qec:0.3"]) == 0
+        assert cli.run(["show", "qec:0.3"]) == 0
+    finally:
+        cli._keep_heap.cache_clear()
+    capsys.readouterr()
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
+#: prints the minor page faults of the second of five ``verify all`` runs in
+#: one process, then how far, in KiB, the peak RSS grew from the first to the fifth
+_VERIFY_FAULTS = """
+import os, resource
+from tecpol import cli
+usage = []
+for _ in range(5):
+    assert cli.run(["verify", "all", "--samples", "100000", "--out", os.devnull]) == 0
+    usage.append(resource.getrusage(resource.RUSAGE_SELF))
+print(usage[1].ru_minflt - usage[0].ru_minflt, usage[4].ru_maxrss - usage[0].ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="glibc's mallopt; ru_maxrss in KiB")
+def test_repeated_runs_reuse_their_heap_pages():
+    # a trimmed heap or mmapped temporaries make every run fault its ~50 MB of
+    # numpy temporaries in afresh: about 12,700 faults per run, not ~1
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-c", _VERIFY_FAULTS]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120, check=True)
+    faults, growth_kib = map(int, run.stdout.split())
+    assert faults < 1000
+    assert growth_kib < 4 * 2**10  # the kept pages do not pile up
