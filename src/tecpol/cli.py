@@ -43,6 +43,12 @@ def _output(path: Optional[str]):
             yield fh
 
 
+def _write_json(path: Optional[str], payload, **options) -> None:
+    text = json.dumps(payload, allow_nan=False, **options)  # before the file opens
+    with _output(path) as fh:
+        fh.write(text + "\n")
+
+
 def _print_functionals(w: channel.TecChannel, fh) -> None:
     f = channel.functionals(w)
     fh.write(f"p,q,r,s,t = {','.join(f'{v:.6g}' for v in w.as_tuple())}\n")
@@ -108,13 +114,13 @@ def _cmd_trap(args) -> int:
 
 
 def _cmd_power(args) -> int:
-    if args.map == "bec":
-        curve = np.zeros_like
-    elif args.map == "alpha":
-        curve = functools.partial(trap.analytic_curve, "alpha_parabola")
+    if args.map != "curve":
+        if args.curve_file is not None:
+            raise ValueError(f"--curve-file is read only with --map curve, not --map {args.map}")
+        curve = np.zeros_like if args.map == "bec" else trap.alpha_parabola
+    elif not args.curve_file:
+        raise ValueError("--curve-file is required with --map curve")
     else:
-        if not args.curve_file:
-            raise ValueError("--curve-file is required with --map curve")
         with open(args.curve_file) as fh:
             curve = spline.read_spline(fh)
     result = eigen.power_iterate(curve, **_given(args))
@@ -126,9 +132,7 @@ def _cmd_power(args) -> int:
         "concave": result.concave,
         "nodes": len(result.eigenfunction.nodes),
     }
-    text = json.dumps(payload, allow_nan=False)
-    with _output(args.out) as fh:
-        fh.write(text + "\n")
+    _write_json(args.out, payload)
     if args.eigenfunction_out:
         with _output(args.eigenfunction_out) as fh:
             spline.write_spline(result.eigenfunction, fh)
@@ -143,18 +147,14 @@ def _cmd_verify_lemma(args) -> int:
         "bound": eigen.LEMMA_RATIO_BOUND,
         "pass": max_ratio < eigen.LEMMA_RATIO_BOUND,
     }
-    text = json.dumps(payload, allow_nan=False)
-    with _output(args.out) as fh:
-        fh.write(text + "\n")
+    _write_json(args.out, payload)
     return 0 if payload["pass"] else 1
 
 
 def _cmd_verify(args) -> int:
     ids = verify.CHECK_IDS if args.check == "all" else (args.check,)
     reports = verify.run_checks(ids, args.samples, args.seed)
-    text = json.dumps([r.to_dict() for r in reports], indent=2, allow_nan=False)
-    with _output(args.out) as fh:
-        fh.write(text + "\n")
+    _write_json(args.out, [r.to_dict() for r in reports], indent=2)
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         sys.stderr.write(f"{r.check_id}: {status} (worst margin {r.worst_margin:.3e})\n")
@@ -172,11 +172,10 @@ def _cmd_fig2(args) -> int:
     options = _given(args)
     phi = trap.iterate_bound("inner", **options).curve(grid)
     chi = trap.iterate_bound("outer", **options).curve(grid)
-    outer_p = trap.analytic_curve("outer_parabola", grid)
-    alpha_p = trap.analytic_curve("alpha_parabola", grid)
     with open(f"{args.out_prefix}_curves.csv", "w") as fh:
         header = "x,outer_parabola,outer_numeric,inner_numeric,alpha_parabola"
-        process.write_csv(header, [grid, outer_p, chi, phi, alpha_p], fh)
+        columns = [grid, trap.outer_parabola(grid), chi, phi, trap.alpha_parabola(grid)]
+        process.write_csv(header, columns, fh)
     with open(f"{args.out_prefix}_scatter.csv", "w") as fh:
         process.write_scatter_csv(records, fh)
     sys.stderr.write(

@@ -33,7 +33,6 @@ CONCAVITY_TOL = 1e-5
 
 def lemma_psi(x):
     """The closed-form certificate eigenfunction of the 0.818 bound."""
-    x = np.asarray(x, dtype=float)
     w = x * (1.0 - x)
     return w**0.697 * (5.0 - np.sqrt(w))
 

@@ -44,9 +44,5 @@ class NoConvergence(TecError):
     pass
 
 
-class UnknownCurve(TecError):
-    pass
-
-
 class UnknownCheck(TecError):
     pass

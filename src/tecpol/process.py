@@ -123,13 +123,6 @@ class GenerationStats:
     mean_inertia: float
 
 
-def _evolve_array(gen: np.ndarray, kind: KernelKind) -> np.ndarray:
-    """The next generation, column-major: the children of row i at 2i and 2i + 1."""
-    out = np.empty((5, 2 * gen.shape[0]))
-    _CHILD_FNS[kind](gen, out=(out[:, 0::2], out[:, 1::2]))
-    return out.T
-
-
 def enumerate_descendants(
     root: TecChannel,
     depth: int,
@@ -150,10 +143,12 @@ def enumerate_descendants(
 
 
 def _exact_tree(root: TecChannel, depth: int, kind: KernelKind) -> np.ndarray:
-    """Generation ``depth`` of the tree, in path order."""
+    """Generation ``depth`` of the tree, in path order: row i's children at 2i and 2i + 1."""
     gen = np.array([root.as_tuple()], dtype=float)
     for _ in range(depth):
-        gen = _evolve_array(gen, kind)
+        out = np.empty((5, 2 * gen.shape[0]))
+        _CHILD_FNS[kind](gen, out=(out[:, 0::2], out[:, 1::2]))
+        gen = out.T
     return gen
 
 

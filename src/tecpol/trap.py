@@ -14,26 +14,31 @@ from typing import Literal
 import numpy as np
 
 from .channel import EDGE_HEAVY_THRESHOLD
-from .errors import NoConvergence, UnknownCurve
+from .errors import NoConvergence
 from .kernel import balanced_children
 from .spline import LinearSpline, check_solver, compose_through_inverse, fixed_point
 
 
-def analytic_curve(name: str, x):
-    """Evaluate one of the four closed-form trap curves."""
-    x = np.asarray(x, dtype=float)
+def alpha_parabola(x):
+    """The alpha parabola, which the inner bound phi stays above."""
+    return EDGE_HEAVY_THRESHOLD * (x * (1.0 - x))
+
+
+def outer_parabola(x):
+    """The outer parabola 2x(1-x), where both bound iterations start."""
+    return 2.0 * (x * (1.0 - x))
+
+
+def poly_inner(x):
+    """The polynomial inner bound f: the region above it is closed under taking children."""
     w = x * (1.0 - x)
-    if name == "alpha_parabola":
-        out = EDGE_HEAVY_THRESHOLD * w
-    elif name == "outer_parabola":
-        out = 2.0 * w
-    elif name == "poly_inner":
-        out = w * (1.66 - 0.38 * w)
-    elif name == "poly_outer":
-        out = w * (2.0 - 2.0 * w / 3.0)
-    else:
-        raise UnknownCurve(f"no curve named {name!r}")
-    return out if out.ndim else float(out)
+    return w * (1.66 - 0.38 * w)
+
+
+def poly_outer(x):
+    """The polynomial outer bound g: the region below it is closed under taking children."""
+    w = x * (1.0 - x)
+    return w * (2.0 - 2.0 * w / 3.0)
 
 
 @dataclass(frozen=True)
@@ -73,8 +78,8 @@ def iterate_bound(
         raise ValueError(f"mode must be 'inner' or 'outer', got {mode!r}")
     check_solver(nodes, 100, tol, max_iters)
     grid = np.linspace(0.0, 1.0, nodes)
-    start = analytic_curve("outer_parabola", grid)
-    floor = analytic_curve("alpha_parabola", grid) if mode == "inner" else None
+    start = outer_parabola(grid)
+    floor = alpha_parabola(grid) if mode == "inner" else None
 
     def step(curve):
         nxt = _iterate_once(grid, curve, mode)

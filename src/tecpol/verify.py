@@ -9,7 +9,6 @@ floor) means PASS.  Reports are deterministic given (id, samples, seed).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,7 +17,7 @@ import numpy as np
 from . import kernel
 from .channel import EDGE_HEAVY_THRESHOLD, balanced_tuple
 from .errors import UnknownCheck
-from .trap import analytic_curve
+from .trap import poly_inner, poly_outer
 
 MARGIN_FLOOR = -1e-9
 
@@ -195,8 +194,7 @@ def _check_fg_bounds(rng, samples):
     x = rng.uniform(1e-9, 1.0 - 1e-9, samples)
     cap = 2.0 * np.minimum(x, 1.0 - x)
     u = rng.uniform(0.0, 1.0, samples)
-    f = functools.partial(analytic_curve, "poly_inner")
-    g = functools.partial(analytic_curve, "poly_outer")
+    f, g = poly_inner, poly_outer
     f_x = f(x[:half])
     y = np.empty(samples)
     y[:half] = f_x + u[:half] * (cap[:half] - f_x)

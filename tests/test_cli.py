@@ -382,10 +382,10 @@ def test_fig2_curves_csv_matches_the_percent_format(tmp_path, capsys):
     grid = np.linspace(0.0, 1.0, 1001)
     columns = [
         grid,
-        trap.analytic_curve("outer_parabola", grid),
+        trap.outer_parabola(grid),
         trap.iterate_bound("outer", nodes=3000).curve(grid),
         trap.iterate_bound("inner", nodes=3000).curve(grid),
-        trap.analytic_curve("alpha_parabola", grid),
+        trap.alpha_parabola(grid),
     ]
     want = "x,outer_parabola,outer_numeric,inner_numeric,alpha_parabola\n" + "".join(
         "%.6g,%.6g,%.6g,%.6g,%.6g\n" % row for row in zip(*columns)
@@ -470,6 +470,8 @@ def test_solver_argument_errors_exit_2(tmp_path, capsys, argv, name):
 
 
 _CURVE = ["eigen", "power", "--map", "curve", "--curve-file", "curve.csv"]
+# a valid curve file beside a map that does not read it
+_STRAY = ["eigen", "power", "--curve-file", "curve.csv", "--map"]
 
 
 @pytest.mark.parametrize(
@@ -480,6 +482,8 @@ _CURVE = ["eigen", "power", "--map", "curve", "--curve-file", "curve.csv"]
         (_CURVE, "0,0\ninf,0\n", "nodes and values must be finite"),
         (_CURVE, "0,0\n0.6,0.1\n0.4,0.1\n1,0\n", "nodes must be strictly increasing"),
         (_CURVE[:4], None, "--curve-file is required with --map curve"),
+        (_STRAY + ["bec"], "0,0\n1,0\n", "read only with --map curve, not --map bec"),
+        (_STRAY + ["alpha"], "0,0\n1,0\n", "read only with --map curve, not --map alpha"),
         (["show", "tec:nan,0,0,0,1"], None, "component p is not finite"),
         (["show", "becpair:1.5,0.5"], None, "outside [0, 1]"),
         (["eigen", "verify-lemma", "--nodes", "999"], None, "need at least 1000 nodes"),
@@ -493,6 +497,8 @@ _CURVE = ["eigen", "power", "--map", "curve", "--curve-file", "curve.csv"]
         "curve-inf-node",
         "curve-decreasing",
         "curve-file-missing",
+        "curve-file-with-map-bec",
+        "curve-file-with-map-alpha",
         "show-tec-nan",
         "show-becpair-outside",
         "verify-lemma-999-nodes",

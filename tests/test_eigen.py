@@ -13,10 +13,6 @@ def psi07(x):
     return (x * (1.0 - x)) ** 0.7
 
 
-def alpha_parabola(x):
-    return trap.analytic_curve("alpha_parabola", x)
-
-
 def lemma_quartics(x):
     """The paper's quartic child entropies (H_s, H_p) on y = 9x(1-x)/7."""
     h_p = (169.0 * x**2 + 54.0 * x**3 - 27.0 * x**4) / 196.0
@@ -91,13 +87,13 @@ def test_power_iterate_binary_bec():
 
 
 def test_power_iterate_alpha_parabola():
-    res = eigen.power_iterate(alpha_parabola, nodes=20_000)
+    res = eigen.power_iterate(trap.alpha_parabola, nodes=20_000)
     assert res.mu <= 3.451
     assert res.concave
 
 
 def test_eigenfunction_symmetry_for_symmetric_curve():
-    res = eigen.power_iterate(alpha_parabola, nodes=20_001, tol=1e-9)
+    res = eigen.power_iterate(trap.alpha_parabola, nodes=20_001, tol=1e-9)
     vals = res.eigenfunction.values
     assert np.max(np.abs(vals - vals[::-1])) <= 1e-6
 
@@ -122,7 +118,7 @@ def test_interp_stencil_is_np_interp_bit_for_bit(trap_bounds, rng):
         grid[np.sort(rng.choice(grid.size, 100, replace=False))],
         np.linspace(0.0, 1.0, 1000),
     ]
-    for curve in (np.zeros_like, alpha_parabola, trap_bounds.inner):
+    for curve in (np.zeros_like, trap.alpha_parabola, trap_bounds.inner):
         queries.extend(np.clip(kernel.balanced_children(grid, curve(grid))[::2], 0.0, 1.0))
     psis = [
         psi07(grid),
@@ -164,7 +160,7 @@ def mu_run(trap_bounds):
     conftest inner bound."""
     maps = {
         "bec": np.zeros_like,
-        "alpha": alpha_parabola,
+        "alpha": trap.alpha_parabola,
         "phi": trap_bounds.inner,
     }
 

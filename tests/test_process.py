@@ -168,7 +168,8 @@ def _breadth_first_series(root, depth, kind):
     gen = np.array([root.as_tuple()], dtype=float)
     out = []
     for _ in range(depth):
-        gen = process._evolve_array(gen, kind)
+        serial, parallel = process._CHILD_FNS[kind](gen)
+        gen = np.stack((serial, parallel), axis=1).reshape(-1, 5)  # row i's children at 2i, 2i + 1
         h = np.clip(kernel.entropy_array(gen), 0.0, 1.0)
         mean_psi = float(np.mean((h * (1.0 - h)) ** 0.7))
         out.append((mean_psi, float(np.mean(kernel.inertia_array(gen)))))

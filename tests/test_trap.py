@@ -6,7 +6,7 @@ import pytest
 
 from tecpol import trap
 from tecpol.channel import EDGE_HEAVY_THRESHOLD
-from tecpol.errors import NoConvergence, UnknownCurve
+from tecpol.errors import NoConvergence
 from tecpol.kernel import balanced_children
 
 
@@ -64,23 +64,16 @@ def invariance_check(curve, side, samples=100_000, seed=0, tol_margin=1e-9):
     )
 
 
-def test_analytic_curves_at_half():
-    assert trap.analytic_curve("alpha_parabola", 0.5) == pytest.approx(
-        EDGE_HEAVY_THRESHOLD / 4, abs=1e-12
-    )
-    assert trap.analytic_curve("alpha_parabola", 0.5) == pytest.approx(0.32288, abs=5e-6)
-    assert trap.analytic_curve("outer_parabola", 0.5) == 0.5
+def test_closed_form_curves_at_half():
+    assert trap.alpha_parabola(0.5) == pytest.approx(EDGE_HEAVY_THRESHOLD / 4, abs=1e-12)
+    assert trap.alpha_parabola(0.5) == pytest.approx(0.32288, abs=5e-6)
+    assert trap.outer_parabola(0.5) == 0.5
 
 
-def test_analytic_curves_vanish_at_endpoints():
-    for name in ("alpha_parabola", "outer_parabola", "poly_inner", "poly_outer"):
-        assert trap.analytic_curve(name, 0.0) == 0.0
-        assert trap.analytic_curve(name, 1.0) == 0.0
-
-
-def test_unknown_curve():
-    with pytest.raises(UnknownCurve):
-        trap.analytic_curve("bogus", 0.5)
+def test_closed_form_curves_vanish_at_endpoints():
+    for curve in (trap.alpha_parabola, trap.outer_parabola, trap.poly_inner, trap.poly_outer):
+        assert curve(0.0) == 0.0
+        assert curve(1.0) == 0.0
 
 
 def test_inner_bound_values(trap_bounds):
@@ -95,16 +88,16 @@ def test_outer_bound_values(trap_bounds):
 
 def test_containment_chain(trap_bounds):
     grid = trap_bounds.inner.nodes
-    alpha = trap.analytic_curve("alpha_parabola", grid)
-    outer_par = trap.analytic_curve("outer_parabola", grid)
+    alpha = trap.alpha_parabola(grid)
+    outer_par = trap.outer_parabola(grid)
     phi = trap_bounds.inner.values
     chi = trap_bounds.outer.values
     assert np.all(alpha <= phi + 1e-9)
     assert np.all(phi <= chi + 1e-9)
     assert np.all(chi <= outer_par + 1e-9)
     # the polynomial inner bound sits between the alpha parabola and phi
-    poly = trap.analytic_curve("poly_inner", grid)
-    assert np.all(phi <= trap.analytic_curve("poly_outer", grid) + 1e-9)
+    poly = trap.poly_inner(grid)
+    assert np.all(phi <= trap.poly_outer(grid) + 1e-9)
     assert np.all(alpha <= poly + 1e-9)
     assert np.all(poly <= phi + 2e-3)
 
@@ -133,26 +126,18 @@ def test_iteration_is_monotone_nonincreasing():
 
 
 def test_invariance_alpha_parabola_above():
-    report = invariance_check(
-        lambda x: trap.analytic_curve("alpha_parabola", x), "above", 50_000, seed=5
-    )
+    report = invariance_check(trap.alpha_parabola, "above", 50_000, seed=5)
     assert report.passed, report
 
 
 def test_invariance_outer_parabola_below():
-    report = invariance_check(
-        lambda x: trap.analytic_curve("outer_parabola", x), "below", 50_000, seed=5
-    )
+    report = invariance_check(trap.outer_parabola, "below", 50_000, seed=5)
     assert report.passed, report
 
 
 def test_invariance_poly_bounds():
-    inner = invariance_check(
-        lambda x: trap.analytic_curve("poly_inner", x), "above", 50_000, seed=6
-    )
-    outer = invariance_check(
-        lambda x: trap.analytic_curve("poly_outer", x), "below", 50_000, seed=6
-    )
+    inner = invariance_check(trap.poly_inner, "above", 50_000, seed=6)
+    outer = invariance_check(trap.poly_outer, "below", 50_000, seed=6)
     assert inner.passed, inner
     assert outer.passed, outer
 

@@ -141,10 +141,10 @@ def test_fg_bounds_witness_is_its_worst_margin(samples):
     w = report.witness
     h_p, e_p, h_s, e_s = verify.kernel.balanced_children(np.array([w["x"]]), np.array([w["y"]]))
     if w["side"] == "above_f":
-        f = lambda h: verify.analytic_curve("poly_inner", h)
+        f = verify.poly_inner
         margin = np.minimum(e_p - f(h_p), e_s - f(h_s))[0]
     else:
-        g = lambda h: verify.analytic_curve("poly_outer", h)
+        g = verify.poly_outer
         margin = np.minimum(g(h_p) - e_p, g(h_s) - e_s)[0]
     assert report.worst_margin == margin
     # the first half of the points lies above f, so a single point lies below g
