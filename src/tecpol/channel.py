@@ -13,8 +13,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InfeasiblePoint, NegativeComponent, OutOfRange, SumNotOne
-
 SIMPLEX_TOL = 1e-12
 
 #: Quetelet-index threshold above which a channel counts as edge-heavy.
@@ -68,12 +66,12 @@ def new_tec(p: float, q: float, r: float, s: float, t: float) -> TecChannel:
     comps = (p, q, r, s, t)
     for name, v in zip(_FIELDS, comps):
         if not math.isfinite(v):
-            raise OutOfRange(f"component {name} is not finite")
+            raise ValueError(f"component {name} is not finite")
         if v < -SIMPLEX_TOL:
-            raise NegativeComponent(name, v)
+            raise ValueError(f"component {name}={v!r} is negative beyond tolerance")
     total = sum(comps)
     if abs(total - 1.0) > SIMPLEX_TOL:
-        raise SumNotOne(total)
+        raise ValueError(f"components sum to {total!r}, not 1 within 1e-12")
     clipped = [min(max(v, 0.0), 1.0) for v in comps]
     norm = sum(clipped)
     return TecChannel(*(v / norm for v in clipped))
@@ -82,7 +80,7 @@ def new_tec(p: float, q: float, r: float, s: float, t: float) -> TecChannel:
 def from_qary_erasure(eps: float) -> TecChannel:
     """The 4-ary erasure channel with erasure probability eps."""
     if not 0.0 <= eps <= 1.0:
-        raise OutOfRange(f"erasure probability {eps!r} outside [0, 1]")
+        raise ValueError(f"erasure probability {eps!r} outside [0, 1]")
     return TecChannel(1.0 - eps, 0.0, 0.0, 0.0, eps)
 
 
@@ -90,7 +88,7 @@ def from_bec_pair(delta: float, eps: float) -> TecChannel:
     """Two bits sent through BEC(delta) and BEC(eps), viewed as one channel."""
     for v in (delta, eps):
         if not 0.0 <= v <= 1.0:
-            raise OutOfRange(f"erasure probability {v!r} outside [0, 1]")
+            raise ValueError(f"erasure probability {v!r} outside [0, 1]")
     return TecChannel(
         (1.0 - delta) * (1.0 - eps),
         (1.0 - delta) * eps,
@@ -101,7 +99,7 @@ def from_bec_pair(delta: float, eps: float) -> TecChannel:
 
 
 def require_balanced(x, y) -> None:
-    """Raise InfeasiblePoint unless every (x, y) is a balanced point:
+    """Raise ValueError unless every (x, y) is a balanced point:
     0 <= x <= 1 and 0 <= y <= 2 min(x, 1 - x), with SIMPLEX_TOL slack in y.
     Floats or arrays."""
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -109,7 +107,7 @@ def require_balanced(x, y) -> None:
     ok = (0.0 <= x) & (x <= 1.0) & (y >= -SIMPLEX_TOL) & (y <= cap + SIMPLEX_TOL)
     if not ok.all():
         k = np.flatnonzero(~ok)[0]
-        raise InfeasiblePoint(
+        raise ValueError(
             f"({float(x.flat[k])!r}, {float(y.flat[k])!r}) is not a balanced point: "
             f"need 0 <= x <= 1 and 0 <= y <= 2 min(x, 1 - x)"
         )

@@ -13,7 +13,6 @@ from typing import Optional
 import numpy as np
 
 from . import channel, eigen, kernel, process, spline, trap, verify
-from .errors import TecError
 
 
 def parse_channel_spec(text: str) -> channel.TecChannel:
@@ -132,10 +131,10 @@ def _cmd_power(args) -> int:
         "concave": result.concave,
         "nodes": len(result.eigenfunction.nodes),
     }
-    _write_json(args.out, payload)
-    if args.eigenfunction_out:
+    if args.eigenfunction_out:  # first, so --out exists only after success
         with _output(args.eigenfunction_out) as fh:
             spline.write_spline(result.eigenfunction, fh)
+    _write_json(args.out, payload)
     return 0
 
 
@@ -289,7 +288,7 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (TecError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -16,7 +16,6 @@ from typing import Callable
 import numpy as np
 
 from .channel import PSI_EXPONENT, require_balanced
-from .errors import OutOfRange
 from .kernel import balanced_children
 from .spline import LinearSpline, check_solver, fixed_point
 
@@ -60,7 +59,7 @@ def verify_lemma_eigen(nodes: int = 100_000) -> tuple[float, float]:
 def mu_from_lambda(lam: float) -> float:
     """Scaling exponent certified by a one-step ratio bound."""
     if not 0.0 < lam < 1.0:
-        raise OutOfRange(f"lambda must lie in (0, 1), got {lam!r}")
+        raise ValueError(f"lambda must lie in (0, 1), got {lam!r}")
     return -1.0 / math.log2(lam)
 
 
@@ -128,7 +127,7 @@ def power_iterate(
 ) -> PowerIterationResult:
     """Power iteration for the optimal eigenfunction of the child-entropy map
     on the edge-mass curve y = curve(x), a LinearSpline or any callable on
-    arrays (``np.zeros_like`` for the BEC).  Raises InfeasiblePoint where y is
+    arrays (``np.zeros_like`` for the BEC).  Raises ValueError where y is
     not feasible, and NoConvergence after ``max_iters`` steps.
 
     The grid is graded towards both endpoints (``_graded_grid``).  The map

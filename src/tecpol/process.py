@@ -35,7 +35,6 @@ import numpy as np
 
 from . import kernel
 from .channel import PSI_EXPONENT, TecChannel, entropy_of, functionals, inertia_of
-from .errors import DegenerateRoot, DepthTooLarge
 
 
 def _table_bytes(depth: int) -> int:
@@ -132,7 +131,7 @@ def enumerate_descendants(
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if depth > MAX_EXACT_DEPTH:
-        raise DepthTooLarge(
+        raise ValueError(
             f"depth {depth} exceeds {MAX_EXACT_DEPTH}: needs {_table_bytes(depth):,} bytes,"
             f" over the {_TABLE_BUDGET:,}-byte table budget; use sample_paths instead"
         )
@@ -173,7 +172,7 @@ def psi_expectation_series(
     h0 = functionals(root).entropy
     psi0 = (h0 * (1.0 - h0)) ** PSI_EXPONENT
     if psi0 <= 0.0:
-        raise DegenerateRoot(f"root entropy {h0} is fully polarized")
+        raise ValueError(f"root entropy {h0} is fully polarized")
     psi_sums, a_sums = [[] for _ in range(depth)], [[] for _ in range(depth)]
 
     def step(gen: np.ndarray, n: int, buf: np.ndarray, scratch: np.ndarray) -> list[np.ndarray]:

@@ -12,11 +12,21 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .errors import NoConvergence, NotMonotone
-
 #: Monotonicity violations up to this size are treated as floating noise and
 #: pooled away; anything larger is a real modeling error and raises.
 NOISE_TOL = 1e-10
+
+
+class NotMonotone(ValueError):
+    """Samples that must increase dip by more than NOISE_TOL at ``index``."""
+
+    def __init__(self, index: int):
+        self.index = index
+        super().__init__(f"values are not monotone; first violation at index {index}")
+
+
+class NoConvergence(ValueError):
+    """An iteration ran out of steps, or left the region where it converges."""
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,14 @@ from typing import Literal
 import numpy as np
 
 from .channel import EDGE_HEAVY_THRESHOLD
-from .errors import NoConvergence
 from .kernel import balanced_children
-from .spline import LinearSpline, check_solver, compose_through_inverse, fixed_point
+from .spline import (
+    LinearSpline,
+    NoConvergence,
+    check_solver,
+    compose_through_inverse,
+    fixed_point,
+)
 
 
 def alpha_parabola(x):

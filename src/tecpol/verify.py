@@ -16,7 +16,6 @@ import numpy as np
 
 from . import kernel
 from .channel import EDGE_HEAVY_THRESHOLD, balanced_tuple
-from .errors import UnknownCheck
 from .trap import poly_inner, poly_outer
 
 MARGIN_FLOOR = -1e-9
@@ -247,7 +246,7 @@ CHECK_IDS = tuple(_CHECKS)
 
 def _lookup(check_id: str, samples: int) -> tuple:
     if check_id not in _CHECKS:
-        raise UnknownCheck(f"no check named {check_id!r}; known: {', '.join(CHECK_IDS)}")
+        raise ValueError(f"no check named {check_id!r}; known: {', '.join(CHECK_IDS)}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
     return _CHECKS[check_id]

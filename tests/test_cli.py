@@ -490,6 +490,15 @@ _STRAY = ["eigen", "power", "--curve-file", "curve.csv", "--map"]
         # depth 99 fails the enumeration at once, so these show the check comes first
         (["fig2", "--depth", "99", "--plot-points", "0"], None, "--plot-points must be at least 2"),
         (["fig2", "--depth", "99", "--plot-points", "-3"], None, "--plot-points must be at least 2"),
+        (["show", "tec:0.5,-0.1,0.3,0.2,0.1"], None,
+         "error: component q=-0.1 is negative beyond tolerance\n"),
+        (["show", "tec:0.9,0.9,0.9,0.9,0.9"], None,
+         "error: components sum to 4.5, not 1 within 1e-12\n"),
+        (["show", "qec:1.5"], None, "error: erasure probability 1.5 outside [0, 1]\n"),
+        (["series", "qec:0", "--depth", "3"], None, "error: root entropy 0.0 is fully polarized\n"),
+        # the eigenfunction is written before the JSON, so its failure leaves no --out
+        (["eigen", "power", "--nodes", "1000", "--eigenfunction-out", "missing/psi.csv"], None,
+         "error: [Errno 2] No such file or directory: 'missing/psi.csv'\n"),
     ],
     ids=[
         "curve-one-row",
@@ -504,6 +513,11 @@ _STRAY = ["eigen", "power", "--curve-file", "curve.csv", "--map"]
         "verify-lemma-999-nodes",
         "fig2-plot-points-0",
         "fig2-plot-points-negative",
+        "show-tec-negative",
+        "show-tec-sum",
+        "show-qec-outside",
+        "series-fully-polarized-root",
+        "eigenfunction-out-unwritable",
     ],
 )
 def test_bad_input_exits_2_without_output(tmp_path, monkeypatch, capsys, argv, curve, message):

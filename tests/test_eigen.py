@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from tecpol import eigen, kernel, trap
-from tecpol.errors import OutOfRange
 
 
 def psi07(x):
@@ -70,9 +69,9 @@ def test_mu_from_lambda():
     assert eigen.mu_from_lambda(0.5) == pytest.approx(1.0)
     assert eigen.mu_from_lambda(2 ** (-1 / 3.627)) == pytest.approx(3.627, abs=1e-12)
     assert eigen.mu_from_lambda(0.818) == pytest.approx(3.4503, abs=5e-4)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ValueError, match=r"^lambda must lie in \(0, 1\), got 1\.0$"):
         eigen.mu_from_lambda(1.0)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ValueError, match=r"^lambda must lie in \(0, 1\), got 0\.0$"):
         eigen.mu_from_lambda(0.0)
 
 

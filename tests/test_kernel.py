@@ -22,10 +22,20 @@ def from_balanced(x, y):
     return kernel.tec_from_row(balanced_tuple(x, y))
 
 
-def one_row(children_fn, w):
-    """(serial, parallel) of one channel through an array child map."""
-    serial, parallel = children_fn(np.array([w.as_tuple()]))
+def one_row(array_fn, *channels):
+    """(serial, parallel) of one channel, or one pair, through an array map."""
+    serial, parallel = array_fn(*(np.array([w.as_tuple()]) for w in channels))
     return kernel.tec_from_row(serial[0]), kernel.tec_from_row(parallel[0])
+
+
+def combine(u, v):
+    """(serial, parallel) combinations of u and v by the closed forms."""
+    return one_row(kernel.combine_arrays, u, v)
+
+
+def oracle(u, v):
+    """(serial, parallel) combinations of u and v by the GF(2) oracle."""
+    return one_row(kernel.brute_force_arrays, u, v)
 
 
 def twisted_children(w):
@@ -47,31 +57,31 @@ def assert_close(u, v, tol=TOL):
 
 def test_serial_combine_perfect_channels():
     perfect = new_tec(1, 0, 0, 0, 0)
-    assert kernel.serial_combine(perfect, perfect).as_tuple() == (1, 0, 0, 0, 0)
+    assert combine(perfect, perfect)[0].as_tuple() == (1, 0, 0, 0, 0)
 
 
 def test_serial_combine_with_perfect_forwards_other():
     perfect = new_tec(1, 0, 0, 0, 0)
     v = new_tec(0.1, 0.2, 0.3, 0.15, 0.25)
-    assert_close(kernel.serial_combine(perfect, v), v)
-    assert_close(kernel.brute_force_combine(perfect, v, "serial"), v)
+    assert_close(combine(perfect, v)[0], v)
+    assert_close(oracle(perfect, v)[0], v)
 
 
 def test_serial_combine_frozen_example():
-    got = kernel.serial_combine(W_QUARTER, W_QUARTER)
+    got = combine(W_QUARTER, W_QUARTER)[0]
     assert_close(got, new_tec(0.0625, 0.1875, 0, 0.1875, 0.5625))
-    assert_close(got, kernel.brute_force_combine(W_QUARTER, W_QUARTER, "serial"))
+    assert_close(got, oracle(W_QUARTER, W_QUARTER)[0])
 
 
 def test_parallel_combine_useless():
     useless = new_tec(0, 0, 0, 0, 1)
-    assert kernel.parallel_combine(useless, useless).as_tuple() == (0, 0, 0, 0, 1)
+    assert combine(useless, useless)[1].as_tuple() == (0, 0, 0, 0, 1)
 
 
 def test_parallel_combine_frozen_example():
-    got = kernel.parallel_combine(W_QUARTER, W_QUARTER)
+    got = combine(W_QUARTER, W_QUARTER)[1]
     assert_close(got, new_tec(0.5625, 0.1875, 0, 0.1875, 0.0625))
-    assert_close(got, kernel.brute_force_combine(W_QUARTER, W_QUARTER, "parallel"))
+    assert_close(got, oracle(W_QUARTER, W_QUARTER)[1])
 
 
 def test_twisted_children_frozen_example():
@@ -79,8 +89,8 @@ def test_twisted_children_frozen_example():
     assert_close(serial, new_tec(0.0625, 0.1875, 0.0625, 0.0625, 0.625))
     assert_close(parallel, new_tec(0.625, 0.1875, 0.0625, 0.0625, 0.0625))
     # and both equal the explicit combination with the rotated channel
-    assert_close(serial, kernel.serial_combine(W_QUARTER, rotate(W_QUARTER)))
-    assert_close(parallel, kernel.parallel_combine(W_QUARTER, rotate(W_QUARTER)))
+    for got, want in zip((serial, parallel), combine(W_QUARTER, rotate(W_QUARTER))):
+        assert_close(got, want)
 
 
 def test_twisted_children_entropies_bec55():
@@ -169,22 +179,20 @@ def test_oracle_full_recovery_pattern():
     # can be chained back, so the mass lands on full recovery
     u = new_tec(0, 1, 0, 0, 0)
     v = new_tec(0, 0, 1, 0, 0)
-    got = kernel.brute_force_combine(u, v, "parallel")
+    got = oracle(u, v)[1]
     assert got.as_tuple() == (1, 0, 0, 0, 0)
 
 
 def test_oracle_perfect_in_both_modes():
     perfect = new_tec(1, 0, 0, 0, 0)
-    for mode in ("serial", "parallel"):
-        assert kernel.brute_force_combine(perfect, perfect, mode).as_tuple() == (
-            1, 0, 0, 0, 0,
-        )
+    for got in oracle(perfect, perfect):  # serial, then parallel
+        assert got.as_tuple() == (1, 0, 0, 0, 0)
 
 
 def test_oracle_uniform_example():
     u = new_tec(0.2, 0.2, 0.2, 0.2, 0.2)
-    got = kernel.brute_force_combine(u, u, "serial")
-    want = kernel.serial_combine(u, u)
+    got = oracle(u, u)[0]
+    want = combine(u, u)[0]
     assert_close(got, want)
 
 
@@ -197,17 +205,15 @@ def test_oracle_rejects_an_unknown_mode():
 @given(tec_tuples(), tec_tuples())
 def test_closed_forms_match_oracle(cu, cv):
     u, v = new_tec(*cu), new_tec(*cv)
-    assert_close(kernel.serial_combine(u, v), kernel.brute_force_combine(u, v, "serial"))
-    assert_close(
-        kernel.parallel_combine(u, v), kernel.brute_force_combine(u, v, "parallel")
-    )
+    for got, want in zip(combine(u, v), oracle(u, v)):  # serial, then parallel
+        assert_close(got, want)
 
 
 @given(tec_tuples(), tec_tuples())
 def test_serial_parallel_duality(cu, cv):
     u, v = new_tec(*cu), new_tec(*cv)
-    lhs = functionals(dual(kernel.serial_combine(u, v)))
-    rhs = functionals(kernel.parallel_combine(dual(u), dual(v)))
+    lhs = functionals(dual(combine(u, v)[0]))
+    rhs = functionals(combine(dual(u), dual(v))[1])
     assert lhs.entropy == pytest.approx(rhs.entropy, abs=TOL)
     assert lhs.edge_mass == pytest.approx(rhs.edge_mass, abs=TOL)
     assert lhs.inertia == pytest.approx(rhs.inertia, abs=TOL)

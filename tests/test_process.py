@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from tecpol import kernel, process
 from tecpol.channel import TecChannel, balanced_tuple, from_bec_pair, functionals, new_tec
-from tecpol.errors import DegenerateRoot, DepthTooLarge
 from tecpol.process import KernelKind
 
 TWIST = KernelKind.QUATERNARY_TWIST
@@ -64,8 +63,12 @@ def test_enumerate_depth_two_conservation(bec55):
 
 
 def test_enumerate_depth_guard(bec55):
-    with pytest.raises(DepthTooLarge):
+    with pytest.raises(ValueError) as exc:
         process.enumerate_descendants(bec55, 25)
+    assert str(exc.value) == (
+        "depth 25 exceeds 23: needs 3,254,779,904 bytes, over the"
+        " 1,073,741,824-byte table budget; use sample_paths instead"
+    )
 
 
 def test_entropy_mean_is_conserved(bec55):
@@ -100,8 +103,9 @@ def test_psi_series_anchor_generation_ten(bec55):
 
 
 def test_psi_series_rejects_degenerate_root():
-    with pytest.raises(DegenerateRoot):
+    with pytest.raises(ValueError) as exc:
         process.psi_expectation_series(new_tec(1, 0, 0, 0, 0), 3)
+    assert str(exc.value) == "root entropy 0.0 is fully polarized"
 
 
 def test_inertia_series_average_decay(bec55):
@@ -358,7 +362,7 @@ def test_block_sums_survive_thread_switches(bec55, monkeypatch):
 
 def test_psi_series_is_not_capped_by_the_enumeration_depth(bec55, monkeypatch):
     monkeypatch.setattr(process, "MAX_EXACT_DEPTH", 3)
-    with pytest.raises(DepthTooLarge):
+    with pytest.raises(ValueError, match=r"^depth 5 exceeds 3: "):
         process.enumerate_descendants(bec55, 5)
     assert [st.generation for st in process.psi_expectation_series(bec55, 5)] == [1, 2, 3, 4, 5]
     with pytest.raises(ValueError):

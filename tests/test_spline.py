@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from tecpol import spline, trap
-from tecpol.errors import NoConvergence, NotMonotone
-from tecpol.spline import LinearSpline
+from tecpol.spline import LinearSpline, NoConvergence, NotMonotone
 
 
 def test_eval_identity():

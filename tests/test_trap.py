@@ -6,8 +6,8 @@ import pytest
 
 from tecpol import trap
 from tecpol.channel import EDGE_HEAVY_THRESHOLD
-from tecpol.errors import NoConvergence
 from tecpol.kernel import balanced_children
+from tecpol.spline import NoConvergence
 
 
 def fixed_point_residual(curve, mode):

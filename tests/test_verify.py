@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tecpol import verify
-from tecpol.errors import UnknownCheck
 
 
 @pytest.mark.parametrize("check_id", verify.CHECK_IDS)
@@ -23,8 +22,9 @@ def test_reports_deterministic():
 
 
 def test_unknown_check():
-    with pytest.raises(UnknownCheck):
+    with pytest.raises(ValueError) as exc:
         verify.run_check("nonsense", 10, 0)
+    assert str(exc.value) == f"no check named 'nonsense'; known: {', '.join(verify.CHECK_IDS)}"
 
 
 def test_bad_sample_count():
@@ -103,14 +103,15 @@ def test_run_checks_keeps_the_order_of_ids():
 
 
 @pytest.mark.parametrize(
-    "ids, samples, error",
-    [(["uniform-A", "nonsense"], 10, UnknownCheck), (["uniform-A", "trap"], 0, ValueError)],
+    "ids, samples, message",
+    [(["uniform-A", "nonsense"], 10, "^no check named 'nonsense'; known: "),
+     (["uniform-A", "trap"], 0, "^samples must be at least 1$")],
     ids=["unknown-id", "no-samples"],
 )
-def test_run_checks_validates_before_any_check_runs(monkeypatch, ids, samples, error):
+def test_run_checks_validates_before_any_check_runs(monkeypatch, ids, samples, message):
     calls = []
     monkeypatch.setattr(verify, "stratified_tecs", lambda *a: calls.append(a))
-    with pytest.raises(error):
+    with pytest.raises(ValueError, match=message):
         verify.run_checks(ids, samples, 0)
     assert calls == []
 
