@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import PSI_EXPONENT, require_balanced
 from .kernel import balanced_children
-from .spline import LinearSpline, check_solver, fixed_point
+from .spline import DEFAULT_NODES, LinearSpline, check_solver, fixed_point, graded_grid
 
 #: the worst-case one-step ratio certified for the 9/7 trap curve
 LEMMA_RATIO_BOUND = 0.818
@@ -73,12 +73,6 @@ class PowerIterationResult:
     concave: bool
 
 
-def _rayleigh(psi_vals, at_hs, at_hp, floor):
-    num = at_hs(psi_vals) + at_hp(psi_vals)
-    mask = psi_vals > floor
-    return float(np.max(num[mask] / (2.0 * psi_vals[mask])))
-
-
 def _is_concave(grid: np.ndarray, vals: np.ndarray) -> bool:
     # each node may sit below the chord of its two neighbours by at most
     # CONCAVITY_TOL of its own value; the chord gap is the slope rise times
@@ -93,15 +87,6 @@ def _is_concave(grid: np.ndarray, vals: np.ndarray) -> bool:
         if not np.all(chord_gap <= CONCAVITY_TOL * v[1:-1]):
             return False
     return True
-
-
-def _graded_grid(nodes: int) -> np.ndarray:
-    """x_k = sin^2(pi k / 2(n - 1)): nodes crowd quadratically towards both
-    endpoints, where psi ~ (x(1-x))^0.7 has unbounded slope."""
-    grid = np.sin(np.linspace(0.0, 0.5 * np.pi, nodes)) ** 2
-    grid[0] = 0.0
-    grid[-1] = 1.0
-    return grid
 
 
 def _interp_stencil(grid: np.ndarray, x: np.ndarray) -> Callable:
@@ -121,7 +106,7 @@ def _interp_stencil(grid: np.ndarray, x: np.ndarray) -> Callable:
 
 def power_iterate(
     curve: Callable,
-    nodes: int = 10_000,
+    nodes: int = DEFAULT_NODES,
     tol: float = 1e-9,
     max_iters: int = 20_000,
 ) -> PowerIterationResult:
@@ -130,20 +115,20 @@ def power_iterate(
     arrays (``np.zeros_like`` for the BEC).  Raises ValueError where y is
     not feasible, and NoConvergence after ``max_iters`` steps.
 
-    The grid is graded towards both endpoints (``_graded_grid``).  The map
-    psi -> psi(h_s) + psi(h_p) is built once, as two ``_interp_stencil``s
+    It runs on ``graded_grid``, the nodes of the trap curves phi and chi.  The
+    map psi -> psi(h_s) + psi(h_p) is built once, as two ``_interp_stencil``s
     bit-identical to ``np.interp``, 4 entries per row in all: the matrix a
     scipy.sparse cross-check would use.  The iteration starts at (x(1-x))**PSI_EXPONENT.
-    lambda is the worst node-wise Rayleigh ratio of the converged iterate on
-    the same stencils (over nodes where psi exceeds ``PSI_FLOOR``), which is
-    robust to the normalization convention of the recursion itself.  Concavity
+    lambda is the worst node-wise Rayleigh ratio of the converged iterate on the
+    same stencils over nodes where psi exceeds ``PSI_FLOOR``, which is robust
+    to the normalization convention of the recursion itself.  Concavity
     of the limit is checked, not enforced: a non-concave limit invalidates the
     separation argument behind the mu certificate.  The check catches kinks on
     the full grid and smooth convexity on a subsample of about 1k nodes:
     x(1-x)(1 + 0.5 cos 6 pi x) reads non-concave at 1k, 10k and 100k nodes.
     """
     check_solver(nodes, 1000, tol, max_iters)
-    grid = _graded_grid(nodes)
+    grid = graded_grid(nodes)
     y = curve(grid)
     require_balanced(grid, y)
     hp, hs = np.clip(balanced_children(grid, y)[::2], 0.0, 1.0)
@@ -157,7 +142,8 @@ def power_iterate(
     psi = (grid * (1.0 - grid)) ** PSI_EXPONENT
     psi /= psi.max()
     psi, iterations, residual = fixed_point(step, psi, tol, max_iters, "power iteration")
-    lam = _rayleigh(psi, at_hs, at_hp, PSI_FLOOR)
+    kept = psi > PSI_FLOOR
+    lam = float(np.max((at_hs(psi) + at_hp(psi))[kept] / (2.0 * psi[kept])))
     return PowerIterationResult(
         lam=lam,
         mu=mu_from_lambda(lam),

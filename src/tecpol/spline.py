@@ -16,6 +16,9 @@ import numpy as np
 #: pooled away; anything larger is a real modeling error and raises.
 NOISE_TOL = 1e-10
 
+#: both solvers' default node count, so phi and chi sit on the power iteration's nodes
+DEFAULT_NODES = 10_000
+
 
 class NotMonotone(ValueError):
     """Samples that must increase dip by more than NOISE_TOL at ``index``."""
@@ -82,6 +85,15 @@ def check_solver(nodes: int, min_nodes: int, tol: float, max_iters: int) -> None
         raise ValueError("tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
+
+
+def graded_grid(nodes: int) -> np.ndarray:
+    """Both solvers' nodes x_k = sin^2(pi k / 2(n - 1)), crowded quadratically towards
+    both endpoints, where psi ~ (x(1-x))^0.7 has unbounded slope."""
+    grid = np.sin(np.linspace(0.0, 0.5 * np.pi, nodes)) ** 2
+    grid[0] = 0.0
+    grid[-1] = 1.0
+    return grid
 
 
 def fixed_point(step: Callable, values: np.ndarray, tol: float, max_iters: int, what: str):

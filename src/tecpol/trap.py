@@ -16,11 +16,13 @@ import numpy as np
 from .channel import EDGE_HEAVY_THRESHOLD
 from .kernel import balanced_children
 from .spline import (
+    DEFAULT_NODES,
     LinearSpline,
     NoConvergence,
     check_solver,
     compose_through_inverse,
     fixed_point,
+    graded_grid,
 )
 
 
@@ -67,22 +69,22 @@ def _iterate_once(grid: np.ndarray, curve: np.ndarray, mode: str) -> np.ndarray:
 
 def iterate_bound(
     mode: Literal["inner", "outer"],
-    nodes: int = 10_000,
+    nodes: int = DEFAULT_NODES,
     tol: float = 1e-6,
     max_iters: int = 2000,
 ) -> BoundIteration:
-    """Fixed-point iteration for the numerical inner/outer bound.
+    """Fixed-point iteration for the numerical inner/outer bound on ``graded_grid``.
 
     Both iterations start from the outer parabola 2x(1-x); the inner one
     contracts with a node-wise min, the outer with a max, and stop when the
     sup distance between consecutive iterates drops below ``tol``, or raise
-    NoConvergence.  Below about 3k nodes the inner iterate drains toward zero;
-    it raises as soon as it falls below the alpha parabola, which phi stays above.
+    NoConvergence.  Below about 300 nodes the inner iterate drains in the long run;
+    it raises at the first step below the alpha parabola, which phi stays above.
     """
     if mode not in ("inner", "outer"):
         raise ValueError(f"mode must be 'inner' or 'outer', got {mode!r}")
     check_solver(nodes, 100, tol, max_iters)
-    grid = np.linspace(0.0, 1.0, nodes)
+    grid = graded_grid(nodes)
     start = outer_parabola(grid)
     floor = alpha_parabola(grid) if mode == "inner" else None
 

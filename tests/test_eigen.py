@@ -4,7 +4,7 @@ import inspect
 import numpy as np
 import pytest
 
-from tecpol import eigen, kernel, trap
+from tecpol import eigen, kernel, process, spline, trap
 
 
 def psi07(x):
@@ -97,20 +97,21 @@ def test_eigenfunction_symmetry_for_symmetric_curve():
     assert np.max(np.abs(vals - vals[::-1])) <= 1e-6
 
 
-def test_lambda_insensitive_to_psi_floor():
+def test_lambda_insensitive_to_psi_floor(monkeypatch):
     # the floor only masks the final Rayleigh quotient, never the iteration
-    res = eigen.power_iterate(np.zeros_like, nodes=20_000)
-    grid, psi = res.eigenfunction.nodes, res.eigenfunction.values
-    h_p, h_s = np.clip(kernel.balanced_children(grid, 0.0)[::2], 0.0, 1.0)
-    at_hs, at_hp = eigen._interp_stencil(grid, h_s), eigen._interp_stencil(grid, h_p)
-    lams = [eigen._rayleigh(psi, at_hs, at_hp, floor) for floor in (1e-12, 1e-9, 1e-6)]
+    runs = []
+    for floor in (1e-12, 1e-9, 1e-6):
+        monkeypatch.setattr(eigen, "PSI_FLOOR", floor)
+        runs.append(eigen.power_iterate(np.zeros_like, nodes=20_000))
+    assert len({r.eigenfunction.values.tobytes() for r in runs}) == 1
+    lams = [r.lam for r in runs]
     assert max(lams) - min(lams) <= 1e-4
 
 
 def test_interp_stencil_is_np_interp_bit_for_bit(trap_bounds, rng):
     # power_iterate's step runs on this stencil; any rounding difference from
     # np.interp would move its outputs
-    grid = eigen._graded_grid(10_000)
+    grid = spline.graded_grid(10_000)
     queries = [
         np.array([0.0]),
         np.array([1.0]),
@@ -199,9 +200,18 @@ def test_concavity_flags_a_dent_at_every_size(mu_run, nodes):
 def test_concavity_flags_smooth_convexity_at_every_size(nodes):
     # the chord gaps of a smooth wave shrink as h^2 and hide below the
     # tolerance on fine grids; the subsampled test still sees them
-    grid = eigen._graded_grid(nodes)
+    grid = spline.graded_grid(nodes)
     wavy = grid * (1.0 - grid) * (1.0 + 0.5 * np.cos(6.0 * np.pi * grid))
     assert not eigen._is_concave(grid, wavy)
+
+
+def test_untwisted_slope_series_increments_at_one_over_bec_mu(bec55):
+    # Fig. 3's untwisted column and the eigen solver compute the same exponent:
+    # the increments of -log2 E psi(H) on the untwisted tree tend to 1/mu(BEC)
+    base = process.psi_expectation_series(bec55, 20, process.KernelKind.UNTWISTED_BASELINE)
+    slope = {g.generation: g.neg_log2_ratio for g in base}
+    increment = np.mean([slope[n] - slope[n - 1] for n in range(15, 21)])
+    assert abs(increment - 1.0 / eigen.power_iterate(np.zeros_like).mu) <= 1e-4
 
 
 def test_lemma_ratio_matches_40_digit_quartic():

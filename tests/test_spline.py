@@ -122,6 +122,13 @@ def _random_curve():
     return LinearSpline(nodes, rng.permutation(pool)[: nodes.size])
 
 
+@pytest.mark.parametrize("nodes", [100, 1000, 10_000, 100_000])
+def test_graded_grid_is_its_own_mirror(nodes):
+    # x_k + x_{n-1-k} = sin^2 + cos^2 = 1 up to rounding
+    grid = spline.graded_grid(nodes)
+    assert np.max(np.abs(grid + grid[::-1] - 1.0)) <= 2 * np.spacing(1.0)
+
+
 def test_file_round_trip(tmp_path):
     curves = [
         LinearSpline(np.linspace(0, 1, 7), np.linspace(0, 1, 7) ** 2),

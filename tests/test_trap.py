@@ -4,10 +4,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from tecpol import trap
+from tecpol import eigen, trap
 from tecpol.channel import EDGE_HEAVY_THRESHOLD
 from tecpol.kernel import balanced_children
-from tecpol.spline import NoConvergence
+from tecpol.spline import NoConvergence, graded_grid
 
 
 def fixed_point_residual(curve, mode):
@@ -116,7 +116,7 @@ def test_fixed_point_residual(trap_bounds):
 
 
 def test_iteration_is_monotone_nonincreasing():
-    grid = np.linspace(0.0, 1.0, 2001)
+    grid = graded_grid(2001)
     for mode in ("inner", "outer"):
         curve = 2.0 * grid * (1.0 - grid)
         for _ in range(30):
@@ -171,16 +171,16 @@ def test_small_grid_converges_close_to_reference():
 
 
 def test_very_coarse_grid_decays_instead_of_converging():
-    # below a few thousand nodes the discretization bias overwhelms the
-    # fixed point and the iterate drains toward zero without converging;
+    # below about 300 nodes the discretization bias overwhelms the fixed point
+    # and, given a tol it cannot reach early, the iterate drains toward zero;
     # the solver refuses to return the decayed curve
-    with pytest.raises(NoConvergence, match="inner bound did not reach"):
-        trap.iterate_bound("inner", nodes=2000, tol=1e-6, max_iters=300)
+    with pytest.raises(NoConvergence, match="the iterate fell below the alpha parabola"):
+        trap.iterate_bound("inner", nodes=100, tol=1e-7)
 
 
 def test_drained_inner_bound_fails_fast(monkeypatch):
     # phi stays above the alpha parabola, so the first iterate below it ends
-    # the run long before the default 2,000 steps (at 2k nodes, step 748)
+    # the run before the default 2,000 steps (at 100 nodes, step 1,482)
     calls = []
     step = trap._iterate_once
 
@@ -189,6 +189,23 @@ def test_drained_inner_bound_fails_fast(monkeypatch):
         return step(*args, **kwargs)
 
     monkeypatch.setattr(trap, "_iterate_once", counted)
-    with pytest.raises(NoConvergence, match="did not reach tol=1e-06: the iterate fell below"):
-        trap.iterate_bound("inner", nodes=2000)
-    assert 0 < len(calls) < 1000
+    with pytest.raises(NoConvergence, match="did not reach tol=1e-07: the iterate fell below"):
+        trap.iterate_bound("inner", nodes=100, tol=1e-7)
+    assert 0 < len(calls) < 2000
+
+
+def test_trap_curves_sit_on_the_power_iteration_nodes():
+    inner = trap.iterate_bound("inner").curve
+    outer = trap.iterate_bound("outer").curve
+    nodes = eigen.power_iterate(inner).eigenfunction.nodes
+    assert np.array_equal(inner.nodes, nodes)
+    assert np.array_equal(outer.nodes, nodes)
+
+
+def test_outer_bound_does_not_move_with_the_node_count():
+    # on a uniform grid chi(0.25) and chi(0.5) moved by 6.5e-5 and 5.4e-5
+    # from 10k to 30k nodes; on the graded grid they move by about 3e-6
+    coarse = trap.iterate_bound("outer", nodes=10_000).curve
+    fine = trap.iterate_bound("outer", nodes=30_000).curve
+    for x in (0.25, 0.5):
+        assert abs(coarse(x) - fine(x)) <= 1e-5
