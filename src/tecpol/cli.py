@@ -94,13 +94,11 @@ def _cmd_scatter(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    stats = process.psi_expectation_series(
+    series = process.psi_expectation_series(
         parse_channel_spec(args.channel), args.depth, process.KernelKind(args.kernel)
     )
-    rows = [(st.generation, st.mean_psi, st.neg_log2_ratio, st.mean_inertia) for st in stats]
     with _output(args.out) as fh:
-        header = "n,mean_psi,neg_log2_ratio,mean_inertia"
-        process.write_csv(header, np.array(rows).reshape(-1, 4).T, fh)
+        process.write_csv("n,mean_psi,neg_log2_ratio,mean_inertia", series, fh)
     return 0
 
 
@@ -187,9 +185,9 @@ def _cmd_fig3(args) -> int:
     root = parse_channel_spec(args.channel)
     twist = process.psi_expectation_series(root, args.depth, process.KernelKind.QUATERNARY_TWIST)
     base = process.psi_expectation_series(root, args.depth, process.KernelKind.UNTWISTED_BASELINE)
-    rows = [(a.generation, a.neg_log2_ratio, b.neg_log2_ratio) for a, b in zip(twist, base)]
     with _output(args.out) as fh:
-        process.write_csv("n,twist,untwisted", np.array(rows).reshape(-1, 3).T, fh)
+        columns = [twist.generation, twist.neg_log2_ratio, base.neg_log2_ratio]
+        process.write_csv("n,twist,untwisted", columns, fh)
     return 0
 
 

@@ -29,7 +29,7 @@ import math
 import operator
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,12 +114,13 @@ class Descendants:
         return map(DescendantRecord, self.entropy)
 
 
-@dataclass(frozen=True)
-class GenerationStats:
-    generation: int
-    mean_psi: float
-    neg_log2_ratio: float
-    mean_inertia: float
+class Series(NamedTuple):
+    """Generations 1..depth: mean psi(H), -log2 of its ratio to psi(H_0), mean inertia."""
+
+    generation: np.ndarray
+    mean_psi: np.ndarray
+    neg_log2_ratio: np.ndarray
+    mean_inertia: np.ndarray
 
 
 def enumerate_descendants(
@@ -155,7 +156,7 @@ def psi_expectation_series(
     root: TecChannel,
     depth: int,
     kind: KernelKind = KernelKind.QUATERNARY_TWIST,
-) -> list[GenerationStats]:
+) -> Series:
     """Exact per-generation expectation of psi(H) over the full tree.
 
     psi(x) = (x(1-x))**PSI_EXPONENT, the slope diagnostic behind the scaling
@@ -205,14 +206,10 @@ def psi_expectation_series(
         size = 2 * _BLOCK_ROWS  # the children of any block of the walk fit
         lane = lambda: ([np.empty((5, size)) for _ in range(split, depth)], np.empty((2, size)))
         _pool_map(lambda job, bufs: descend(job, split, *bufs), jobs, lane)
-    out = []
-    for n in range(1, depth + 1):
-        mean_psi = math.fsum(psi_sums[n - 1]) / 2**n
-        mean_a = math.fsum(a_sums[n - 1]) / 2**n
-        out.append(
-            GenerationStats(n, mean_psi, -math.log2(mean_psi / psi0), mean_a)
-        )
-    return out
+    n = np.arange(1, depth + 1)
+    mean_psi = np.array([math.fsum(s) for s in psi_sums]) / 2.0**n
+    mean_a = np.array([math.fsum(s) for s in a_sums]) / 2.0**n
+    return Series(n, mean_psi, np.array([-math.log2(m / psi0) for m in mean_psi]), mean_a)
 
 
 def sample_paths(

@@ -75,11 +75,11 @@ def iterate_bound(
 ) -> BoundIteration:
     """Fixed-point iteration for the numerical inner/outer bound on ``graded_grid``.
 
-    Both iterations start from the outer parabola 2x(1-x); the inner one
-    contracts with a node-wise min, the outer with a max, and stop when the
-    sup distance between consecutive iterates drops below ``tol``, or raise
-    NoConvergence.  Below about 300 nodes the inner iterate drains in the long run;
-    it raises at the first step below the alpha parabola, which phi stays above.
+    Both iterations start from the outer parabola 2x(1-x); the inner one contracts with a
+    node-wise min, the outer with a max, and stop when the sup distance between consecutive
+    iterates drops below ``tol``, or raise NoConvergence.  The inner one raises at its first
+    step below the alpha parabola, which phi stays above; under about 300 nodes it drains
+    there past a plateau the default tol stops on (100 nodes: 40 steps; the drop: step 1,482).
     """
     if mode not in ("inner", "outer"):
         raise ValueError(f"mode must be 'inner' or 'outer', got {mode!r}")

@@ -264,7 +264,7 @@ def run_check(
     k = int(np.argmin(margins))
     worst = float(margins[k])
     witness = {name: col[k].tolist() for name, col in columns.items()}
-    return VerificationReport(check_id, samples, worst, witness, bool(worst >= MARGIN_FLOOR))
+    return VerificationReport(check_id, margins.size, worst, witness, bool(worst >= MARGIN_FLOOR))
 
 
 def run_checks(ids, samples: int = 100_000, seed: int = 0) -> list[VerificationReport]:

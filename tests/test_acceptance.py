@@ -156,15 +156,12 @@ def test_criterion_09_slope_series(bec55):
     base = process.psi_expectation_series(bec55, 20, KernelKind.UNTWISTED_BASELINE)
     elapsed = time.perf_counter() - start
     worst = 0.0
-    for (n, want_t, want_b), a, b in zip(SLOPE_TABLE, twist, base):
-        assert a.generation == n and b.generation == n
-        worst = max(
-            worst,
-            abs(a.neg_log2_ratio - want_t),
-            abs(b.neg_log2_ratio - want_b),
-        )
-    inc_t = twist[19].neg_log2_ratio - twist[18].neg_log2_ratio
-    inc_b = base[19].neg_log2_ratio - base[18].neg_log2_ratio
+    columns = twist.generation, base.generation, twist.neg_log2_ratio, base.neg_log2_ratio
+    for (n, want_t, want_b), n_t, n_b, got_t, got_b in zip(SLOPE_TABLE, *columns):
+        assert n_t == n and n_b == n
+        worst = max(worst, abs(got_t - want_t), abs(got_b - want_b))
+    inc_t = twist.neg_log2_ratio[19] - twist.neg_log2_ratio[18]
+    inc_b = base.neg_log2_ratio[19] - base.neg_log2_ratio[18]
     ok = (
         worst <= 0.01
         and inc_t >= 0.300

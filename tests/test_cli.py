@@ -2,6 +2,7 @@ import json
 import os
 import re
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -107,10 +108,9 @@ def test_series_command(capsys):
 def test_series_csv_matches_the_percent_format(capsys, bec55, kernel, depth):
     argv = ["series", "becpair:0.55,0.55", "--depth", str(depth), "--kernel", kernel]
     assert cli.run(argv) == 0
-    stats = process.psi_expectation_series(bec55, depth, process.KernelKind(kernel))
-    rows = [(s.generation, s.mean_psi, s.neg_log2_ratio, s.mean_inertia) for s in stats]
+    series = process.psi_expectation_series(bec55, depth, process.KernelKind(kernel))
     want = "n,mean_psi,neg_log2_ratio,mean_inertia\n" + "".join(
-        "%d,%.6g,%.6g,%.6g\n" % row for row in rows
+        "%d,%.6g,%.6g,%.6g\n" % row for row in zip(*series)
     )
     assert capsys.readouterr().out == want
 
@@ -288,8 +288,8 @@ def test_fig3_csv_matches_the_percent_format(capsys, bec55, depth):
         process.psi_expectation_series(bec55, depth, kind) for kind in process.KernelKind
     )
     want = "n,twist,untwisted\n" + "".join(
-        "%d,%.6g,%.6g\n" % (a.generation, a.neg_log2_ratio, b.neg_log2_ratio)
-        for a, b in zip(twist, base)
+        "%d,%.6g,%.6g\n" % row
+        for row in zip(twist.generation, twist.neg_log2_ratio, base.neg_log2_ratio)
     )
     assert capsys.readouterr().out == want
 
@@ -644,3 +644,18 @@ def test_repeated_runs_reuse_their_heap_pages():
     faults, growth_kib = map(int, run.stdout.split())
     assert faults < 1000
     assert growth_kib < 4 * 2**10  # the kept pages do not pile up
+
+
+def test_readme_cli_examples_exit_0(tmp_path, monkeypatch, capsys):
+    # the example block under the README's "## CLI" heading, line by line
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    codes = {}
+    for line in block.splitlines():
+        prog, *argv = shlex.split(line, comments=True)
+        assert prog == "tecpol"
+        codes[line] = cli.run(argv)
+    capsys.readouterr()
+    assert codes
+    assert all(code == 0 for code in codes.values()), codes

@@ -131,6 +131,19 @@ def test_balanced_child_maps_match_actual_children(rng):
         assert h_p + h_s == pytest.approx(2 * x, abs=TOL)
 
 
+def test_balanced_child_maps_mirror_each_other():
+    # h_s(1 - x, y) = 1 - h_p(x, y) and e_s(1 - x, y) = e_p(x, y) in exact
+    # arithmetic; in floats both read within 2 ulps of 1 (1.1e-16 and 2.2e-16
+    # at this seed), which rounding 1 - x accounts for
+    rng = np.random.default_rng(0)
+    x = rng.random(1_000_000)
+    y = rng.random(x.size) * 2.0 * np.minimum(x, 1.0 - x)  # feasible: p, t >= 0
+    h_p, e_p, _, _ = kernel.balanced_children(x, y)
+    _, _, h_s, e_s = kernel.balanced_children(1.0 - x, y)
+    assert np.abs(h_s - (1.0 - h_p)).max() <= 4.5e-16
+    assert np.abs(e_s - e_p).max() <= 4.5e-16
+
+
 def children_inertia_closed_form(w):
     """Inertia of both twisted children without constructing them."""
     p, q, r, s, t = w.as_tuple()
@@ -243,6 +256,42 @@ def test_entropy_conservation_and_ordering(comps):
     hp = functionals(parallel).entropy
     assert hs + hp == pytest.approx(2 * h, abs=TOL)
     assert hp <= h + TOL <= hs + 2 * TOL
+
+
+def test_oracle_and_conservation_hold_on_the_whole_simplex():
+    """The oracle and conservation identities, proved from finitely many points.
+
+    Oracle.  On the simplex each of a child's p, q, r, s in the closed forms is
+    a sum of products u_i v_j, and t = 1 - (p + q + r + s) equals
+    (sum u)(sum v) - (p + q + r + s), so the closed form agrees there with a
+    bilinear map B.  The GF(2)^4 oracle is bilinear by construction.  Two
+    bilinear maps that agree on the 25 corner pairs (e_i, e_j) agree
+    everywhere, since B(u, v) = sum_ij u_i v_j B(e_i, e_j).  On the corners t
+    is 0 or 1, so B's t is nonnegative on the simplex and the clip at 0 never
+    acts.
+
+    Conservation.  H is linear in w, and a twisted child is bilinear in w and
+    its rotation, so on the simplex H_s + H_p - 2H is a quadratic form in w
+    (1 = sum w makes every term of degree two).  A quadratic form in five
+    variables has 15 coefficients, fixed by its values at the 15 points
+    (e_i + e_j) / 2, i <= j; all 15 read 0.
+
+    Every coordinate involved is 0, 1/4, 1/2 or 1, so the float evaluation of
+    both maps at these points is exact.
+    """
+    corners = np.eye(5)
+    i, j = np.divmod(np.arange(25), 5)
+    for got, want in zip(  # serial, then parallel
+        kernel.combine_arrays(corners[i], corners[j]),
+        kernel.brute_force_arrays(corners[i], corners[j]),
+        strict=True,
+    ):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    i, j = np.triu_indices(5)
+    mids = (corners[i] + corners[j]) / 2.0
+    h, h_s, h_p = map(kernel.entropy_array, (mids, *kernel.children_arrays(mids)))
+    assert len(mids) == 15
+    assert np.array_equal(h_s + h_p - 2.0 * h, np.zeros(15))
 
 
 @given(tec_tuples())

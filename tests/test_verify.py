@@ -162,6 +162,15 @@ def test_checks_return_one_margin_per_sample(check_id):
     assert all(len(col) == len(margins) for col in columns.values())
 
 
+def test_reports_count_the_margins_they_took_the_worst_of():
+    # ultimate-A walks at most 1000 paths, and oracle checks at most 10k pairs
+    reports = verify.run_checks(verify.CHECK_IDS, 20_000, 0)
+    capped = {"ultimate-A": 1000, "oracle": 10_000}
+    assert {r.check_id: r.samples for r in reports} == {
+        cid: capped.get(cid, 20_000) for cid in verify.CHECK_IDS
+    }
+
+
 # worst margin and witness of every check at seed 0, at a count whose stratified
 # draws hold only corners and none of the balanced channels, and at 100k
 FROZEN_REPORTS = {
