@@ -207,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(add_help=False)
     root.add_argument("channel", nargs="?", default="becpair:0.55,0.55")
     nodes = argparse.ArgumentParser(add_help=False)
-    nodes.add_argument("--nodes", type=int, default=None)
+    nodes.add_argument("--nodes", type=int, default=None,
+                       help="grid size; trap, fig2 and eigen power solve an even one on size + 1")
     solver = argparse.ArgumentParser(add_help=False, parents=[nodes])
     solver.add_argument("--tol", type=float, default=None)
     solver.add_argument("--max-iters", type=int, default=None)

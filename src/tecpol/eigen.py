@@ -16,8 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .channel import PSI_EXPONENT, require_balanced
-from .kernel import balanced_children
-from .spline import DEFAULT_NODES, LinearSpline, check_solver, fixed_point, graded_grid
+from .kernel import folded_children
+from .spline import DEFAULT_NODES, LinearSpline, check_solver, fixed_point, graded_grid, unfold
 
 #: the worst-case one-step ratio certified for the 9/7 trap curve
 LEMMA_RATIO_BOUND = 0.818
@@ -28,6 +28,9 @@ PSI_FLOOR = 1e-9
 #: how far, relative to psi, a node may sit below its neighbours' chord in a
 #: limit still read as concave; interpolation kinks stay below 1e-6
 CONCAVITY_TOL = 1e-5
+
+#: how far y(x) and y(1 - x) may differ on the curves power iteration solves on
+MIRROR_TOL = 1e-12
 
 
 def lemma_psi(x):
@@ -42,16 +45,15 @@ def lemma_curve(x):
 
 
 def verify_lemma_eigen(nodes: int = 100_000) -> tuple[float, float]:
-    """Max one-step ratio of the closed-form certificate on an interior grid.
-
-    Returns (max_ratio, argmax_x); the certificate holds iff the max stays
-    strictly below 0.818.
+    """Max one-step ratio of the closed-form certificate at k/(nodes + 1), k = 1..nodes, as
+    (max_ratio, argmax_x); it holds iff the max stays strictly below 0.818.  psi and the
+    curve are symmetric, so only x <= 1/2 is read, psi(h_s) at min(h_s, 1 - h_s).
     """
     if nodes < 1000:
         raise ValueError("need at least 1000 nodes")
-    x = np.arange(1, nodes + 1) / (nodes + 1.0)
-    h_p, h_s = balanced_children(x, lemma_curve(x))[::2]
-    ratio = (lemma_psi(h_s) + lemma_psi(h_p)) / (2.0 * lemma_psi(x))
+    x = np.arange(1, (nodes + 1) // 2 + 1) / (nodes + 1.0)
+    h_p, _, h_s, _, c_s = folded_children(x, lemma_curve(x))
+    ratio = (lemma_psi(np.minimum(h_s, c_s)) + lemma_psi(h_p)) / (2.0 * lemma_psi(x))
     k = int(np.argmax(ratio))
     return float(ratio[k]), float(x[k])
 
@@ -90,7 +92,7 @@ def _is_concave(grid: np.ndarray, vals: np.ndarray) -> bool:
 
 
 def _interp_stencil(grid: np.ndarray, x: np.ndarray) -> Callable:
-    """``np.interp(x, grid, .)`` for ``x`` fixed in [0, 1]; bit for bit on finite values."""
+    """``np.interp(x, grid, .)`` for fixed ``x`` >= ``grid[0]``; bit for bit on finite values."""
     lo = np.clip(np.searchsorted(grid, x, "right") - 1, 0, grid.size - 1)
     hi = np.minimum(lo + 1, grid.size - 1)
     exact = (x == grid[lo]) | (lo == hi)
@@ -112,38 +114,43 @@ def power_iterate(
 ) -> PowerIterationResult:
     """Power iteration for the optimal eigenfunction of the child-entropy map
     on the edge-mass curve y = curve(x), a LinearSpline or any callable on
-    arrays (``np.zeros_like`` for the BEC).  Raises ValueError where y is
-    not feasible, and NoConvergence after ``max_iters`` steps.
+    arrays (``np.zeros_like`` for the BEC).  Raises ValueError where y is not
+    feasible or not mirror-symmetric to ``MIRROR_TOL``, and NoConvergence
+    after ``max_iters`` steps.
 
-    It runs on ``graded_grid``, the nodes of the trap curves phi and chi.  The
-    map psi -> psi(h_s) + psi(h_p) is built once, as two ``_interp_stencil``s
-    bit-identical to ``np.interp``, 4 entries per row in all: the matrix a
-    scipy.sparse cross-check would use.  The iteration starts at (x(1-x))**PSI_EXPONENT.
-    lambda is the worst node-wise Rayleigh ratio of the converged iterate on the
-    same stencils over nodes where psi exceeds ``PSI_FLOOR``, which is robust
-    to the normalization convention of the recursion itself.  Concavity
-    of the limit is checked, not enforced: a non-concave limit invalidates the
-    separation argument behind the mu certificate.  The check catches kinks on
-    the full grid and smooth convexity on a subsample of about 1k nodes:
+    It runs on ``graded_grid(nodes | 1)``, the nodes of the trap curves phi and chi: an
+    even count solves on ``nodes + 1``, so that 1/2 is a node.  psi is symmetric, so it
+    is solved on the nodes x <= 1/2 and mirrored back.  The map psi -> psi(h_s) + psi(h_p),
+    psi(h_s) read at min(h_s, 1 - h_s), is built once, as two ``_interp_stencil``s
+    bit-identical to ``np.interp``, 4 entries per row in all: the matrix a scipy.sparse
+    cross-check would use.  The iteration starts at (x(1-x))**PSI_EXPONENT.  lambda is
+    the worst node-wise Rayleigh ratio of the converged iterate on the same stencils
+    over nodes where psi exceeds ``PSI_FLOOR``, robust to the normalization of the
+    recursion.  Concavity of the limit is checked, not enforced: a non-concave limit
+    invalidates the separation argument behind the mu certificate.  The check catches
+    kinks on the full grid and smooth convexity on a subsample of about 1k nodes:
     x(1-x)(1 + 0.5 cos 6 pi x) reads non-concave at 1k, 10k and 100k nodes.
     """
     check_solver(nodes, 1000, tol, max_iters)
-    grid = graded_grid(nodes)
-    y = curve(grid)
+    grid = graded_grid(nodes | 1)
+    y = np.broadcast_to(curve(grid), grid.shape)
     require_balanced(grid, y)
-    hp, hs = np.clip(balanced_children(grid, y)[::2], 0.0, 1.0)
-    at_hs = _interp_stencil(grid, hs)
-    at_hp = _interp_stencil(grid, hp)
+    if np.max(np.abs(y - y[::-1])) > MIRROR_TOL:
+        raise ValueError(f"curve not mirror-symmetric: y(x) - y(1 - x) exceeds {MIRROR_TOL}")
+    x = grid[: grid.size // 2 + 1]
+    hp, _, hs, _, cs = folded_children(x, y[: x.size])
+    at_hp, at_hs = (_interp_stencil(x, h) for h in np.clip((hp, np.minimum(hs, cs)), 0.0, 1.0))
 
     def step(psi):
         nxt = at_hs(psi) + at_hp(psi)
         return nxt / nxt.max()
 
-    psi = (grid * (1.0 - grid)) ** PSI_EXPONENT
+    psi = (x * (1.0 - x)) ** PSI_EXPONENT
     psi /= psi.max()
     psi, iterations, residual = fixed_point(step, psi, tol, max_iters, "power iteration")
     kept = psi > PSI_FLOOR
     lam = float(np.max((at_hs(psi) + at_hp(psi))[kept] / (2.0 * psi[kept])))
+    psi = unfold(psi, psi)
     return PowerIterationResult(
         lam=lam,
         mu=mu_from_lambda(lam),

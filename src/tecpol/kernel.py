@@ -60,6 +60,12 @@ def balanced_children(x, y):
     return h_p, e_p, h_s, e_s
 
 
+def folded_children(x, y):
+    """``balanced_children`` at x <= 1/2, and 1 - h_s = (1 - x)^2 - y^2/12 exactly: on a
+    symmetric curve h_p(1 - x) = 1 - h_s(x) and e_p(1 - x) = e_s(x), so the five cover [0, 1]."""
+    return (*balanced_children(x, y), (1.0 - x) ** 2 - y * y / 12.0)
+
+
 # --- brute-force oracle ----------------------------------------------------
 #
 # Input bits (u1, u2, v1, v2) are basis vectors of GF(2)^4, encoded as the

@@ -16,8 +16,8 @@ import numpy as np
 #: pooled away; anything larger is a real modeling error and raises.
 NOISE_TOL = 1e-10
 
-#: both solvers' default node count, so phi and chi sit on the power iteration's nodes
-DEFAULT_NODES = 10_000
+#: both solvers' default node count, so phi and chi sit on power iteration's nodes; odd: 1/2 is one
+DEFAULT_NODES = 10_001
 
 
 class NotMonotone(ValueError):
@@ -96,6 +96,11 @@ def graded_grid(nodes: int) -> np.ndarray:
     return grid
 
 
+def unfold(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left`` at the nodes x <= 1/2 of an odd grid, then ``right``, read there, at 1 - x."""
+    return np.concatenate((left, right[-2::-1]))
+
+
 def fixed_point(step: Callable, values: np.ndarray, tol: float, max_iters: int, what: str):
     """Run ``values = step(values)`` until the sup-norm change is below ``tol``;
     return (values, iterations, last_delta) or raise NoConvergence naming ``what``."""
@@ -110,9 +115,8 @@ def fixed_point(step: Callable, values: np.ndarray, tol: float, max_iters: int, 
 
 def write_spline(f: LinearSpline, fh: TextIO) -> None:
     """Write the text format: header "x,y", one pair per line."""
-    fh.write("x,y\n")
-    for x, y in zip(f.nodes, f.values):
-        fh.write(f"{float(x)!r},{float(y)!r}\n")
+    pairs = zip(f.nodes.tolist(), f.values.tolist())
+    fh.write("x,y\n" + "".join([f"{x!r},{y!r}\n" for x, y in pairs]))
 
 
 def read_spline(fh: TextIO) -> LinearSpline:

@@ -131,7 +131,7 @@ def test_trap_command(tmp_path, capsys):
     assert re.fullmatch(r"inner bound: [1-9]\d* iterations\n", capsys.readouterr().err)
     lines = Path(path).read_text().splitlines()
     assert lines[0] == "x,y"
-    assert len(lines) == 5001
+    assert len(lines) == 5002  # an even count solves on one node more, so 1/2 is a node
 
 
 def test_eigen_verify_lemma(capsys):
@@ -397,7 +397,7 @@ def test_fig2_curves_csv_matches_the_percent_format(tmp_path, capsys):
 def test_fig2_without_convergence_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
     prefix = tmp_path / "fig2"
     # at 100 nodes and tol 1e-7 the inner iterate drains toward zero instead of
-    # converging, and falls below the alpha parabola at step 1,482 of 2,000
+    # converging, and falls below the alpha parabola at step 1,513 of 2,000
     args = ["fig2", "--depth", "3", "--nodes", "100", "--tol", "1e-7"]
     assert cli.run(args + ["--out-prefix", str(prefix)]) == 2
     assert "the iterate fell below the alpha parabola" in capsys.readouterr().err
@@ -556,9 +556,9 @@ def test_cached_parser_carries_nothing_between_runs(tmp_path, capsys):
     assert cli.run(["trap"]) == 2
     assert cli.run(["eigen", "power", "--out", str(b)]) == 0
     capsys.readouterr()
-    assert json.loads(a.read_text())["nodes"] == 2000
+    assert json.loads(a.read_text())["nodes"] == 2001
     got = json.loads(b.read_text())
-    assert (got["nodes"], got["iterations"]) == (10_000, 52)
+    assert (got["nodes"], got["iterations"]) == (10_001, 52)
     src = str(Path(cli.__file__).resolve().parents[1])
     argv = [sys.executable, "-m", "tecpol.cli", "eigen", "power", "--out", str(fresh)]
     subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)

@@ -109,17 +109,21 @@ def test_lambda_insensitive_to_psi_floor(monkeypatch):
 
 
 def test_interp_stencil_is_np_interp_bit_for_bit(trap_bounds, rng):
-    # power_iterate's step runs on this stencil; any rounding difference from
-    # np.interp would move its outputs
-    grid = spline.graded_grid(10_000)
+    # power_iterate's step runs on this stencil, over the nodes x <= 1/2; any
+    # rounding difference from np.interp would move its outputs
+    grid = spline.graded_grid(spline.DEFAULT_NODES)
+    half = grid[: grid.size // 2 + 1]
     queries = [
         np.array([0.0]),
         np.array([1.0]),
         grid[np.sort(rng.choice(grid.size, 100, replace=False))],
         np.linspace(0.0, 1.0, 1000),
     ]
+    folded = []
     for curve in (np.zeros_like, trap.alpha_parabola, trap_bounds.inner):
         queries.extend(np.clip(kernel.balanced_children(grid, curve(grid))[::2], 0.0, 1.0))
+        h_p, _, h_s, _, c_s = kernel.folded_children(half, curve(half))
+        folded.extend(np.clip((h_p, np.minimum(h_s, c_s)), 0.0, 1.0))
     psis = [
         psi07(grid),
         eigen.power_iterate(np.zeros_like).eigenfunction.values,
@@ -130,6 +134,10 @@ def test_interp_stencil_is_np_interp_bit_for_bit(trap_bounds, rng):
         interp = eigen._interp_stencil(grid, x)
         for psi in psis:
             assert np.array_equal(interp(psi), np.interp(x, grid, psi))
+    for x in folded:
+        interp = eigen._interp_stencil(half, x)
+        for psi in psis:
+            assert np.array_equal(interp(psi[: half.size]), np.interp(x, half, psi[: half.size]))
 
 
 def test_power_iterate_validates_arguments():
@@ -173,7 +181,7 @@ def mu_run(trap_bounds):
 
 @pytest.mark.parametrize("name", ["bec", "phi"])
 def test_mu_grid_converged_at_default_nodes(mu_run, name):
-    assert DEFAULT_NODES == 10_000
+    assert DEFAULT_NODES == 10_001
     assert abs(mu_run(name, DEFAULT_NODES).mu - mu_run(name, 100_000).mu) <= 1e-4
 
 

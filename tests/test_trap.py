@@ -180,7 +180,7 @@ def test_very_coarse_grid_decays_instead_of_converging():
 
 def test_drained_inner_bound_fails_fast(monkeypatch):
     # phi stays above the alpha parabola, so the first iterate below it ends
-    # the run before the default 2,000 steps (at 100 nodes, step 1,482)
+    # the run before the default 2,000 steps (at 100 nodes, solved on 101, step 1,513)
     calls = []
     step = trap._iterate_once
 
@@ -204,7 +204,7 @@ def test_trap_curves_sit_on_the_power_iteration_nodes():
 
 def test_outer_bound_does_not_move_with_the_node_count():
     # on a uniform grid chi(0.25) and chi(0.5) moved by 6.5e-5 and 5.4e-5
-    # from 10k to 30k nodes; on the graded grid they move by about 3e-6
+    # from 10k to 30k nodes; on the graded grid, with 1/2 a node, by about 2e-7
     coarse = trap.iterate_bound("outer", nodes=10_000).curve
     fine = trap.iterate_bound("outer", nodes=30_000).curve
     for x in (0.25, 0.5):
