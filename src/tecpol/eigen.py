@@ -118,21 +118,20 @@ def power_iterate(
     feasible or not mirror-symmetric to ``MIRROR_TOL``, and NoConvergence
     after ``max_iters`` steps.
 
-    It runs on ``graded_grid(nodes | 1)``, the nodes of the trap curves phi and chi: an
-    even count solves on ``nodes + 1``, so that 1/2 is a node.  psi is symmetric, so it
-    is solved on the nodes x <= 1/2 and mirrored back.  The map psi -> psi(h_s) + psi(h_p),
-    psi(h_s) read at min(h_s, 1 - h_s), is built once, as two ``_interp_stencil``s
-    bit-identical to ``np.interp``, 4 entries per row in all: the matrix a scipy.sparse
-    cross-check would use.  The iteration starts at (x(1-x))**PSI_EXPONENT.  lambda is
-    the worst node-wise Rayleigh ratio of the converged iterate on the same stencils
-    over nodes where psi exceeds ``PSI_FLOOR``, robust to the normalization of the
-    recursion.  Concavity of the limit is checked, not enforced: a non-concave limit
-    invalidates the separation argument behind the mu certificate.  The check catches
-    kinks on the full grid and smooth convexity on a subsample of about 1k nodes:
-    x(1-x)(1 + 0.5 cos 6 pi x) reads non-concave at 1k, 10k and 100k nodes.
+    It runs on ``graded_grid(nodes)``, the nodes of the trap curves phi and chi.  psi is
+    symmetric, so it is solved on the nodes x <= 1/2 and mirrored back.  The map psi ->
+    psi(h_s) + psi(h_p), psi(h_s) read at min(h_s, 1 - h_s), is built once, as two
+    ``_interp_stencil``s bit-identical to ``np.interp``, 4 entries per row in all: the
+    matrix a scipy.sparse cross-check would use.  The iteration starts at
+    (x(1-x))**PSI_EXPONENT.  lambda is the worst node-wise Rayleigh ratio of the converged
+    iterate on the same stencils over nodes where psi exceeds ``PSI_FLOOR``, robust to the
+    normalization of the recursion.  Concavity of the limit is checked, not enforced: a
+    non-concave limit invalidates the separation argument behind the mu certificate.  The
+    check catches kinks on the full grid and smooth convexity on a subsample of about 1k
+    nodes: x(1-x)(1 + 0.5 cos 6 pi x) reads non-concave at 1k, 10k and 100k nodes.
     """
     check_solver(nodes, 1000, tol, max_iters)
-    grid = graded_grid(nodes | 1)
+    grid = graded_grid(nodes)
     y = np.broadcast_to(curve(grid), grid.shape)
     require_balanced(grid, y)
     if np.max(np.abs(y - y[::-1])) > MIRROR_TOL:

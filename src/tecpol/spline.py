@@ -12,20 +12,16 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-#: Monotonicity violations up to this size are treated as floating noise and
-#: pooled away; anything larger is a real modeling error and raises.
-NOISE_TOL = 1e-10
-
 #: both solvers' default node count, so phi and chi sit on power iteration's nodes; odd: 1/2 is one
 DEFAULT_NODES = 10_001
 
 
 class NotMonotone(ValueError):
-    """Samples that must increase dip by more than NOISE_TOL at ``index``."""
+    """Samples that must strictly increase do not; ``index`` starts the first step that fails."""
 
     def __init__(self, index: int):
         self.index = index
-        super().__init__(f"values are not monotone; first violation at index {index}")
+        super().__init__(f"values are not strictly increasing; first violation at index {index}")
 
 
 class NoConvergence(ValueError):
@@ -58,23 +54,14 @@ def compose_through_inverse(
 ) -> np.ndarray:
     """Evaluate x -> e(h^{-1}(x)) on ``grid`` from parallel samples of h and e.
 
-    ``h_vals`` must increase up to floating noise; this is the single-pass
-    spline inversion the trap iteration relies on.  Strictly increasing
-    samples skip pooling.  Dips up to NOISE_TOL are pooled; a larger dip
-    raises NotMonotone with the first offending index.  Pooled plateaus keep
-    only their first node, so the inverse has strictly increasing abscissae.
+    ``h_vals`` must be strictly increasing, so the inverse is one ``np.interp``;
+    otherwise NotMonotone names the first step that does not increase.
     """
     h_vals = np.asarray(h_vals, dtype=float)
-    e_vals = np.asarray(e_vals, dtype=float)
-    step = np.diff(h_vals)
-    if np.all(step > 0.0):
-        return np.interp(grid, h_vals, e_vals)
-    bad = np.nonzero(step < -NOISE_TOL)[0]
-    if bad.size:
-        raise NotMonotone(int(bad[0]))
-    cleaned = np.maximum.accumulate(h_vals)
-    keep = np.concatenate(([True], np.diff(cleaned) > 0))
-    return np.interp(grid, cleaned[keep], e_vals[keep])
+    increases = np.diff(h_vals) > 0.0
+    if not np.all(increases):
+        raise NotMonotone(int(np.argmin(increases)))
+    return np.interp(grid, h_vals, e_vals)
 
 
 def check_solver(nodes: int, min_nodes: int, tol: float, max_iters: int) -> None:
@@ -88,12 +75,17 @@ def check_solver(nodes: int, min_nodes: int, tol: float, max_iters: int) -> None
 
 
 def graded_grid(nodes: int) -> np.ndarray:
-    """Both solvers' nodes x_k = sin^2(pi k / 2(n - 1)), crowded quadratically towards
-    both endpoints, where psi ~ (x(1-x))^0.7 has unbounded slope."""
-    grid = np.sin(np.linspace(0.0, 0.5 * np.pi, nodes)) ** 2
-    grid[0] = 0.0
-    grid[-1] = 1.0
-    return grid
+    """Both solvers' nodes x_k = sin^2(pi k / 2(n - 1)), crowded quadratically towards both
+    endpoints, where psi ~ (x(1-x))^0.7 has unbounded slope.
+
+    n is ``nodes``, or one more if that is even, so that 1/2 is a node.  Only the half
+    x <= 1/2 is computed, with its ends pinned at 0 and 1/2; the nodes above are 1 - x
+    read backwards, so x_{n-1-k} is 1 - x_k exactly.
+    """
+    half = np.sin(np.linspace(0.0, 0.25 * np.pi, nodes // 2 + 1)) ** 2
+    half[0] = 0.0
+    half[-1] = 0.5
+    return unfold(half, 1.0 - half)
 
 
 def unfold(left: np.ndarray, right: np.ndarray) -> np.ndarray:

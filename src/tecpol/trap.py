@@ -58,12 +58,14 @@ class BoundIteration:
 
 
 def _iterate_once(grid: np.ndarray, curve: np.ndarray, mode: str) -> np.ndarray:
-    # F = e_p o h_p^-1 on [0, 1] from the folded children; e_s o h_s^-1 (u) = F(1 - u)
-    half = grid.size // 2 + 1
-    h_p, e_p, _, e_s, c_s = folded_children(grid[:half], curve[:half])
+    # curve on the nodes x <= 1/2; F = e_p o h_p^-1 on [0, 1] from the folded children,
+    # and e_s o h_s^-1 (u) = F(1 - u), which on the half is F read backwards
+    x = grid[: curve.size]
+    h_p, e_p, _, e_s, c_s = folded_children(x, curve)
     f = compose_through_inverse(unfold(h_p, c_s), unfold(e_p, e_s), grid)
-    nxt = np.minimum(f, f[::-1]) if mode == "inner" else np.maximum(f, f[::-1])
-    nxt[[0, -1]] = 0.0  # the e-maps vanish at both ends; pinning kills boundary drift
+    back = f[::-1][: x.size]
+    nxt = np.minimum(f[: x.size], back) if mode == "inner" else np.maximum(f[: x.size], back)
+    nxt[0] = 0.0  # the e-maps vanish at the ends; pinning kills boundary drift
     return nxt
 
 
@@ -73,22 +75,22 @@ def iterate_bound(
     tol: float = 1e-6,
     max_iters: int = 2000,
 ) -> BoundIteration:
-    """Fixed-point iteration for the numerical inner/outer bound on ``graded_grid(nodes | 1)``.
+    """Fixed-point iteration for the numerical inner/outer bound on ``graded_grid(nodes)``.
 
-    An even count solves on ``nodes + 1``, so that 1/2 is a node.  Both iterations start from
-    the outer parabola 2x(1-x); the inner one contracts with a node-wise min, the outer with
-    a max, and stop when the sup distance between consecutive iterates drops below ``tol``,
-    or raise NoConvergence.  A step reads the children at the nodes x <= 1/2 and composes
-    once; every iterate is exactly mirror-symmetric.  The inner one raises at its first step
-    below the alpha parabola, which phi stays above; under about 300 nodes it drains there
-    past a plateau the default tol stops on (101 nodes: 40 steps; the drop: step 1,513).
+    Both iterations start from the outer parabola 2x(1-x); the inner one contracts with a
+    node-wise min, the outer with a max, and stop when the sup distance between consecutive
+    iterates drops below ``tol``, or raise NoConvergence.  The iterate lives on the nodes
+    x <= 1/2: a step reads the children there and composes once, and the converged curve is
+    mirrored back.  The inner one raises at its first step below the alpha parabola, which
+    phi stays above; under about 300 nodes it drains there past a plateau the default tol
+    stops on (101 nodes: 40 steps; the drop: step 1,513).
     """
     if mode not in ("inner", "outer"):
         raise ValueError(f"mode must be 'inner' or 'outer', got {mode!r}")
     check_solver(nodes, 100, tol, max_iters)
-    grid = graded_grid(nodes | 1)
-    start = outer_parabola(grid)
-    floor = alpha_parabola(grid) if mode == "inner" else None
+    grid = graded_grid(nodes)
+    x = grid[: grid.size // 2 + 1]
+    floor = alpha_parabola(x) if mode == "inner" else None
 
     def step(curve):
         nxt = _iterate_once(grid, curve, mode)
@@ -97,5 +99,5 @@ def iterate_bound(
                                 " fell below the alpha parabola, which phi stays above")
         return nxt
 
-    curve, iterations, _ = fixed_point(step, start, tol, max_iters, f"{mode} bound")
-    return BoundIteration(LinearSpline(grid, curve), iterations)
+    curve, iterations, _ = fixed_point(step, outer_parabola(x), tol, max_iters, f"{mode} bound")
+    return BoundIteration(LinearSpline(grid, unfold(curve, curve)), iterations)

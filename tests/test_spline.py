@@ -61,13 +61,16 @@ def test_inverse_rejects_non_monotone():
     assert exc.value.index == 1
 
 
-def test_inverse_pools_noise_level_dips():
-    # the pooled plateau keeps only its first node, so the inverse is
-    # well defined and reads the plateau's first abscissa
-    got = spline.compose_through_inverse(
-        [0.0, 0.5, 0.5 - 1e-11], [0.0, 0.5, 1.0], [0.0, 0.5, 1.0]
-    )
-    np.testing.assert_array_equal(got, [0.0, 0.5, 0.5])
+@pytest.mark.parametrize(
+    "h, index",
+    [([0.0, 0.5, 0.5 - 1e-15, 1.0], 1), ([0.0, 0.25, 0.5, 0.5, 1.0], 2)],
+    ids=["dip", "plateau"],
+)
+def test_inverse_rejects_a_step_that_does_not_increase(h, index):
+    # no dip is noise and no plateau is pooled: the inverse needs strictly increasing abscissae
+    with pytest.raises(NotMonotone) as exc:
+        spline.compose_through_inverse(h, np.arange(len(h), dtype=float), [0.5])
+    assert exc.value.index == index
 
 
 def test_inverse_of_increasing_samples_is_plain_interpolation(rng):
@@ -81,15 +84,6 @@ def test_inverse_of_increasing_samples_is_plain_interpolation(rng):
     with pytest.raises(NotMonotone) as exc:
         spline.compose_through_inverse(h[::-1], e[::-1], grid)
     assert exc.value.index == 0
-
-
-def test_inverse_pools_an_exact_plateau_to_its_first_node():
-    # a zero step is not strictly increasing, so it is pooled: the inverse
-    # reads the plateau's first node on both sides of it
-    got = spline.compose_through_inverse(
-        [0.0, 0.5, 0.5, 1.0], [0.0, 1.0, 2.0, 3.0], [0.25, 0.5, 0.75]
-    )
-    np.testing.assert_array_equal(got, [0.5, 1.0, 2.0])
 
 
 def test_inverse_is_involution_at_nodes(rng):
@@ -122,11 +116,13 @@ def _random_curve():
     return LinearSpline(nodes, rng.permutation(pool)[: nodes.size])
 
 
-@pytest.mark.parametrize("nodes", [100, 1000, 10_000, 100_000])
+@pytest.mark.parametrize("nodes", [100, 101, 1000, 1001, 10_000, 10_001, 100_000, 100_001])
 def test_graded_grid_is_its_own_mirror(nodes):
-    # x_k + x_{n-1-k} = sin^2 + cos^2 = 1 up to rounding
+    # the half x <= 1/2 is built and mirrored, so 1/2 is a node and x_{n-1-k} = 1 - x_k
     grid = spline.graded_grid(nodes)
-    assert np.max(np.abs(grid + grid[::-1] - 1.0)) <= 2 * np.spacing(1.0)
+    assert grid.size == nodes | 1
+    assert grid[nodes // 2] == 0.5
+    np.testing.assert_array_equal(grid[nodes // 2 :], 1.0 - grid[nodes // 2 :: -1])
 
 
 def test_file_round_trip(tmp_path):

@@ -11,9 +11,10 @@ from tecpol.spline import NoConvergence, graded_grid
 
 
 def fixed_point_residual(curve, mode):
-    """Sup-norm defect of the curve under one more iteration."""
-    nxt = trap._iterate_once(curve.nodes, curve.values, mode)
-    return float(np.max(np.abs(nxt - curve.values)))
+    """Sup-norm defect of the curve under one more iteration, on the nodes x <= 1/2."""
+    half = curve.values[: curve.nodes.size // 2 + 1]
+    nxt = trap._iterate_once(curve.nodes, half, mode)
+    return float(np.max(np.abs(nxt - half)))
 
 
 @dataclass(frozen=True)
@@ -117,8 +118,9 @@ def test_fixed_point_residual(trap_bounds):
 
 def test_iteration_is_monotone_nonincreasing():
     grid = graded_grid(2001)
+    x = grid[:1001]
     for mode in ("inner", "outer"):
-        curve = 2.0 * grid * (1.0 - grid)
+        curve = 2.0 * x * (1.0 - x)
         for _ in range(30):
             nxt = trap._iterate_once(grid, curve, mode)
             assert np.all(nxt <= curve + 1e-12)
