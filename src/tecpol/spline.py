@@ -7,6 +7,7 @@ node range, since the entropy maps can land at 0 or 1 up to rounding.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Callable, TextIO
 
@@ -106,17 +107,30 @@ def fixed_point(step: Callable, values: np.ndarray, tol: float, max_iters: int, 
 
 
 def write_spline(f: LinearSpline, fh: TextIO) -> None:
-    """Write the text format: header "x,y", one pair per line."""
-    pairs = zip(f.nodes.tolist(), f.values.tolist())
-    fh.write("x,y\n" + "".join([f"{x!r},{y!r}\n" for x, y in pairs]))
+    """Write header "x,y", then one pair per line, each value its shortest round-trip ``repr``."""
+    v, n = f.values, f.values.size
+    ys = list(map(repr, v[: (n + 1) // 2].tolist()))  # a mirrored curve formats only this half
+    mirrored = np.array_equal(v.view(np.int64), v.view(np.int64)[::-1])  # bit for bit: -0.0 != 0.0
+    ys += reversed(ys[: n // 2]) if mirrored else map(repr, v[(n + 1) // 2 :].tolist())
+    fh.write("x,y\n")
+    for k in range(0, n, 4096):  # a block at a time bounds the transient line strings
+        rows = zip(f.nodes[k : k + 4096].tolist(), ys[k : k + 4096])
+        fh.write("".join([f"{x!r},{y}\n" for x, y in rows]))
 
 
 def read_spline(fh: TextIO) -> LinearSpline:
     header = fh.readline().strip()
     if header != "x,y":
         raise ValueError(f"expected header 'x,y', got {header!r}")
+    lines = fh.readlines()
+    pairs = np.empty((0, 0))
+    with contextlib.suppress(ValueError):  # a body loadtxt cannot read as n x 2 goes line by line
+        if any(map(str.strip, lines)):  # loadtxt warns on a body with no rows
+            pairs = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    if pairs.shape[1] == 2:
+        return LinearSpline(pairs[:, 0], pairs[:, 1])
     nodes, values = [], []
-    for number, line in enumerate(fh, start=2):
+    for number, line in enumerate(lines, start=2):
         try:
             x, y = line.split(",")
             nodes.append(float(x))

@@ -64,9 +64,7 @@ def _iterate_once(grid: np.ndarray, curve: np.ndarray, mode: str) -> np.ndarray:
     h_p, e_p, _, e_s, c_s = folded_children(x, curve)
     f = compose_through_inverse(unfold(h_p, c_s), unfold(e_p, e_s), grid)
     back = f[::-1][: x.size]
-    nxt = np.minimum(f[: x.size], back) if mode == "inner" else np.maximum(f[: x.size], back)
-    nxt[0] = 0.0  # the e-maps vanish at the ends; pinning kills boundary drift
-    return nxt
+    return np.minimum(f[: x.size], back) if mode == "inner" else np.maximum(f[: x.size], back)
 
 
 def iterate_bound(

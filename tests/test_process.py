@@ -118,6 +118,20 @@ def test_inertia_series_average_decay(bec55):
     assert np.all(series.mean_inertia <= a0 / 2.0**series.generation + 1e-12)
 
 
+@pytest.mark.parametrize("delta, eps", [(0.55, 0.55), (0.3, 0.7)])
+def test_twisted_mean_inertia_contracts_at_about_a_quarter(delta, eps):
+    # the twist collapses the tree onto the balanced family at 0.2548 per generation from
+    # either root; without it mean A shrinks at 0.826 from the symmetric pair and grows
+    # from (0.3, 0.7)
+    root = from_bec_pair(delta, eps)
+    twist, base = (
+        process.psi_expectation_series(root, 20, kind).mean_inertia for kind in (TWIST, BASE)
+    )
+    ratio = twist[14:] / twist[13:-1]  # generations 15-20 over 14-19
+    assert np.all((0.25 <= ratio) & (ratio <= 0.26))
+    assert np.all(base[14:] / base[13:-1] > 0.8)
+
+
 def test_inertia_series_balanced_root_is_zero():
     root = kernel.tec_from_row(balanced_tuple(0.5, 0.3))
     series = process.psi_expectation_series(root, 6)

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -141,16 +142,72 @@ def test_file_round_trip(tmp_path):
         np.testing.assert_array_equal(g.values.view(np.uint64), f.values.view(np.uint64))
 
 
+def _mirrored(values):
+    return np.concatenate((values, values[::-1]))
+
+
+_HALF = np.random.default_rng(5).random(6)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        spline.unfold(_HALF, _HALF),  # odd length
+        _mirrored(_HALF),  # even length
+        np.where(np.arange(12) == 2, np.nextafter(_mirrored(_HALF), 2.0), _mirrored(_HALF)),
+        np.array([-0.0, 1.0, 0.0]),  # equal under ==, not bit for bit
+    ],
+    ids=["odd-mirror", "even-mirror", "mirror-but-one", "signed-zeros"],
+)
+def test_write_formats_each_value_by_repr(values):
+    f = LinearSpline(np.linspace(0.0, 1.0, values.size), values)
+    fh = io.StringIO()
+    spline.write_spline(f, fh)
+    pairs = zip(f.nodes.tolist(), f.values.tolist())
+    assert fh.getvalue() == "x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in pairs)
+
+
+@pytest.mark.parametrize(
+    "text, nodes, values",
+    [
+        ("x,y\n0,0\n \t\n1,1\n", [0.0, 1.0], [0.0, 1.0]),  # a whitespace-only line is skipped
+        ("x,y\n0,0\n1_0,1\n", [0.0, 10.0], [0.0, 1.0]),  # float() reads 1_0
+        ("x,y\r\n0,0\r\n0.5,0.25\r\n1,1\r\n", [0.0, 0.5, 1.0], [0.0, 0.25, 1.0]),
+    ],
+    ids=["whitespace-line", "underscore", "crlf"],
+)
+def test_read_takes_what_float_takes(text, nodes, values):
+    g = spline.read_spline(io.StringIO(text))
+    assert g.nodes.tolist() == nodes
+    assert g.values.tolist() == values
+
+
+@pytest.mark.parametrize("text", ["x,y\n", "x,y\n\n\n"])
+def test_read_of_no_pairs_raises_without_a_warning(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="at least 2 entries"):
+            spline.read_spline(io.StringIO(text))
+
+
 def test_read_rejects_bad_header():
     with pytest.raises(ValueError):
         spline.read_spline(io.StringIO("a,b\n0,0\n1,1\n"))
 
 
-@pytest.mark.parametrize("text", ["x,y\n0,0\n\n1\n", "x,y\n0,0\n\n1,1,1\n", "x,y\n0,0\n\n1,a\n"])
+@pytest.mark.parametrize(
+    "text",
+    ["x,y\n0,0\n\n1\n", "x,y\n0,0\n\n1,1,1\n", "x,y\n0,0\n\n1,a\n", "x,y\n0,0\n \t\n1\n"],
+)
 def test_read_names_the_bad_line(text):
-    # blank lines are skipped but still counted
+    # blank and whitespace-only lines are skipped but still counted
     with pytest.raises(ValueError, match="line 4 is not 'x,y'"):
         spline.read_spline(io.StringIO(text))
+
+
+def test_read_of_one_column_names_its_first_line():
+    with pytest.raises(ValueError, match="line 2 is not 'x,y': '0'"):
+        spline.read_spline(io.StringIO("x,y\n0\n1\n"))
 
 
 def _halve(values):
